@@ -3,7 +3,7 @@ degraded-mode throughput.
 
 The supervision layer's claim is that resilience is cheap on the happy
 path and bounded on the sad path: a supervised sweep with no faults
-should track the plain pool, a single worker crash should cost roughly
+sets the baseline, a single worker crash should cost roughly
 one retry backoff plus one shard re-sweep (not a full restart), and a
 permanently lost shard should keep the service answering at reduced
 coverage instead of failing the request.

@@ -86,12 +86,15 @@ def _kernel_choices() -> tuple[str, ...]:
 def _build_engine(args, obs=None):
     """Engine shared by the ``serve``/``batch`` commands.
 
-    ``--retries``/``--timeout`` (serve) switch the sweep onto the
-    supervised pool: worker death and hung sweeps are retried with
-    backoff, repeat offenders are quarantined, and the engine degrades
-    to the in-process path rather than failing the request.  ``obs``
-    (serve) is a live observability bundle threaded through the index
-    load, the pool, and the engine.
+    Every ``--workers N>1`` sweep runs on the supervised pool: worker
+    death and hung sweeps are retried with backoff, repeat offenders
+    are quarantined, and the engine degrades to the in-process path
+    rather than failing the request.  ``--retries``/``--timeout``
+    (serve) only tune that supervision — except that with
+    ``--workers 1`` either flag still runs the sweep supervised in a
+    subprocess, where without them a single worker sweeps in-process.
+    ``obs`` (serve) is a live observability bundle threaded through the
+    index load, the pool, and the engine.
     """
     from .service import IndexManager, ResultCache, SearchEngine, WorkerSpec
 
@@ -224,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries",
         type=int,
         default=None,
-        help="supervise shard sweeps and retry failures up to N times",
+        help="retry failed shard sweeps up to N times (supervises even "
+        "--workers 1)",
     )
     p_serve.add_argument(
         "--timeout",

@@ -8,14 +8,13 @@ coordinates returned per record.  This package turns the one-shot
 * :mod:`~repro.service.index` — persistent sharded database index
   (parse + encode once, content-hash version stamp, per-shard content
   hashes verified on load, save/load);
-* :mod:`~repro.service.pool` — multiprocessing worker pool sweeping
-  shards with the phase-1 locate kernel, merged bit-identically to the
-  sequential scanner;
+* :mod:`~repro.service.pool` — shard sweep tasks with the phase-1
+  locate kernel, merged bit-identically to the sequential scanner;
 * :mod:`~repro.service.resilience` — fault tolerance: the
   :class:`ServiceError` taxonomy, :class:`RetryPolicy` backoff,
   deterministic :class:`FaultPlan` injection, and the
-  :class:`SupervisedWorkerPool` (worker supervision, retries, shard
-  quarantine);
+  :class:`SupervisedWorkerPool` that runs every multi-worker sweep
+  (worker supervision, retries, shard quarantine);
 * :mod:`~repro.service.cache` — LRU result cache keyed by query,
   scheme and index version (partial answers are never cached);
 * :mod:`~repro.service.engine` — the :class:`SearchEngine` facade:
@@ -206,7 +205,7 @@ def resolve_query_options(
 from .cache import CacheKey, CacheStats, ResultCache, scheme_token
 from .engine import RequestMetrics, SearchEngine, SearchResponse
 from .index import DatabaseIndex, IndexFormatError, Shard
-from .pool import ShardWorkerPool, WorkerSpec, merge_candidates
+from .pool import WorkerSpec, merge_candidates
 from .resilience import (
     BadRequest,
     Deadline,

@@ -2,9 +2,9 @@
 
 :class:`SearchEngine` turns the one-shot scanner into a reusable
 server-shaped component: a persistent pre-encoded
-:class:`~repro.service.index.DatabaseIndex` is swept by a
-:class:`~repro.service.pool.ShardWorkerPool` (software kernel or
-simulated accelerator), ranked candidates are remembered in a
+:class:`~repro.service.index.DatabaseIndex` is swept in-process or by a
+:class:`~repro.service.resilience.SupervisedWorkerPool` (software
+kernel or simulated accelerator), ranked candidates are remembered in a
 :class:`~repro.service.cache.ResultCache`, and multiple queries batch
 over **one pass of the index** — each shard ships to a worker once per
 batch and is swept for every outstanding query while it is hot.
@@ -40,15 +40,18 @@ from .guard import IndexManager
 from .index import DatabaseIndex
 from .pool import (
     Candidate,
-    ShardWorkerPool,
     WorkerSpec,
     _sweep_shard,
+    busy_seconds,
     merge_candidates,
     shard_task,
 )
-from .resilience import Deadline, SupervisedWorkerPool, SweepOutcome
+from .resilience import Deadline, SupervisedWorkerPool
 
 __all__ = ["RequestMetrics", "SearchResponse", "SearchEngine"]
+
+#: The degradation path's kernel (see ``SearchEngine._sweep_inline``).
+_REFERENCE = WorkerSpec("reference")
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,9 @@ class SearchEngine:
         Scoring scheme — fixed per engine, like the synthesized
         datapath constants it models.
     workers:
-        Process count for the shard sweep; 1 runs inline.
+        Process count for the shard sweep.  1 (with no ``pool``) sweeps
+        in-process; more builds a :class:`SupervisedWorkerPool` with
+        that class's defaults.
     spec:
         How workers build their locate kernel (software row sweep by
         default; ``WorkerSpec("accelerator", elements=N)`` for the
@@ -170,13 +175,13 @@ class SearchEngine:
         Calibrated Karlin-Altschul statistics; when set, hits carry
         E-values exactly as ``scan_database`` reports them.
     pool:
-        A ready-made pool to sweep with — pass a
-        :class:`~repro.service.resilience.SupervisedWorkerPool` for
-        worker supervision, retries and quarantine; ``None`` builds a
-        plain :class:`ShardWorkerPool` from ``workers``/``spec``.
+        A ready-made :class:`~repro.service.resilience.SupervisedWorkerPool`
+        to sweep with, when its retry policy, timeouts or fault plan
+        should differ from the defaults; ``None`` builds one from
+        ``workers``/``spec`` (or none at all for a single worker).
     fallback_scan:
         When True (the default) the engine degrades gracefully: shards
-        a supervised pool could not sweep are re-swept in-process (the
+        the pool could not sweep are re-swept in-process (the
         trusted ``scan_database`` path), and once the pool is marked
         unhealthy the whole sweep runs in-process — the service keeps
         serving instead of raising.  Set False to surface partial
@@ -187,8 +192,8 @@ class SearchEngine:
         negligible overhead — so library callers pay nothing; a live
         bundle (``Observability.create()``) makes the engine emit
         request counters, sweep-latency histograms, a sustained-CUPS
-        gauge, and per-request span trees.  A supervised pool without
-        its own bundle inherits this one.
+        gauge, and per-request span trees.  A pool without its own
+        bundle inherits this one.
     """
 
     def __init__(
@@ -199,7 +204,7 @@ class SearchEngine:
         spec: WorkerSpec | None = None,
         cache: ResultCache | None = None,
         statistics: ScoreStatistics | None = None,
-        pool: ShardWorkerPool | SupervisedWorkerPool | None = None,
+        pool: SupervisedWorkerPool | None = None,
         fallback_scan: bool = True,
         obs: Observability | None = None,
     ) -> None:
@@ -213,11 +218,15 @@ class SearchEngine:
         )
         self.scheme = scheme
         if pool is not None:
-            self.pool = pool
             self.spec = pool.spec
         else:
+            if workers < 1:
+                raise ValueError(f"need at least one worker, got {workers}")
             self.spec = spec if spec is not None else WorkerSpec()
-            self.pool = ShardWorkerPool(workers=workers, spec=self.spec)
+            if workers > 1:
+                pool = SupervisedWorkerPool(workers=workers, spec=self.spec)
+        self.pool = pool
+        self.workers = pool.workers if pool is not None else 1
         self.fallback_scan = fallback_scan
         self.fallback_sweeps = 0
         self.cache = cache if cache is not None else ResultCache()
@@ -226,12 +235,8 @@ class SearchEngine:
         self._retrieve_locate = None
         self.requests_served = 0
         self.obs = obs if obs is not None else NULL_OBS
-        if (
-            self.obs.enabled
-            and isinstance(self.pool, SupervisedWorkerPool)
-            and not self.pool.obs.enabled
-        ):
-            self.pool.bind_obs(self.obs)
+        if self.obs.enabled and pool is not None and not pool.obs.enabled:
+            pool.bind_obs(self.obs)
         registry = self.obs.registry
         self.cache.bind(registry)
         self.indexes.attach_cache(self.cache)
@@ -314,17 +319,20 @@ class SearchEngine:
         return self._retrieve_locate
 
     # ------------------------------------------------------------------
-    def _sweep_inline(self, shards, queries, min_score: int, k: int, deadline=None):
-        """Sweep ``shards`` in-process with the reference kernel.
+    def _sweep_inline(
+        self, shards, queries, min_score: int, k: int, deadline, spec: WorkerSpec
+    ):
+        """Sweep ``shards`` in-process with ``spec``'s kernel.
 
-        This is the graceful-degradation path: no subprocesses, no
-        fault injection, the same row sweep ``scan_database`` runs —
-        the most trustworthy way to finish a sweep the pool could not.
-        Every backend is bit-identical, so healing a sweep on the
-        reference kernel changes nothing a caller can observe.  The
-        deadline (when set) is enforced at shard granularity.
+        No subprocesses, no fault injection.  A single-worker engine
+        with no pool sweeps every request here with the request's
+        kernel.  The graceful-degradation path passes the ``reference``
+        spec — the same row sweep ``scan_database`` runs, the most
+        trustworthy way to finish a sweep the pool could not; every
+        backend is bit-identical, so that changes nothing a caller can
+        observe.  The deadline (when set) is enforced at shard
+        granularity.
         """
-        spec = WorkerSpec("reference")
         sweeps = []
         for shard in shards:
             if deadline is not None:
@@ -342,7 +350,7 @@ class SearchEngine:
         Returns ``(sweeps, degraded_ids)`` where ``degraded_ids`` are
         the shards excluded from this sweep (load-quarantined plus any
         the pool failed on that fallback did not heal).  ``spec``, when
-        set, overrides the pool's kernel spec for this sweep only (a
+        set, overrides the engine's kernel spec for this sweep only (a
         request-level ``QueryOptions.kernel`` selection).
 
         :class:`~repro.service.resilience.DeadlineExceeded` raised by
@@ -351,6 +359,18 @@ class SearchEngine:
         just ran out.
         """
         load_degraded = set(index.degraded)
+        if self.pool is None:
+            # One worker and no pool: sweep in-process on the request's
+            # kernel.
+            sweeps = self._sweep_inline(
+                index.active_shards,
+                queries,
+                min_score,
+                k,
+                deadline,
+                spec if spec is not None else self.spec,
+            )
+            return sweeps, tuple(sorted(load_degraded))
         if not self.pool.healthy and self.fallback_scan:
             # The pool proved itself unable to complete a sweep; stop
             # paying its overhead and keep serving in-process.
@@ -361,7 +381,7 @@ class SearchEngine:
                 "engine.fallback", reason="pool-unhealthy", queries=len(queries)
             )
             sweeps = self._sweep_inline(
-                index.active_shards, queries, min_score, k, deadline
+                index.active_shards, queries, min_score, k, deadline, _REFERENCE
             )
             return sweeps, tuple(sorted(load_degraded))
         result = self.pool.sweep(
@@ -373,8 +393,6 @@ class SearchEngine:
             deadline=deadline,
             spec=spec,
         )
-        if not isinstance(result, SweepOutcome):
-            return result, tuple(sorted(load_degraded))
         sweeps = list(result.sweeps)
         failed = dict(result.failed)
         if failed and self.fallback_scan:
@@ -386,7 +404,9 @@ class SearchEngine:
             self.obs.log.warning(
                 "engine.fallback", reason="failed-shards", shards=shard_ids
             )
-            sweeps.extend(self._sweep_inline(healed, queries, min_score, k, deadline))
+            sweeps.extend(
+                self._sweep_inline(healed, queries, min_score, k, deadline, _REFERENCE)
+            )
             failed.clear()
         return sweeps, tuple(sorted(load_degraded | set(failed)))
 
@@ -562,9 +582,7 @@ class SearchEngine:
                 total = index.record_count
                 coverage = swept_records / total if total else 1.0
                 merged = merge_candidates(sweeps, len(pending), top)
-                worker_busy = tuple(
-                    sorted(ShardWorkerPool.busy_seconds(sweeps).items())
-                )
+                worker_busy = tuple(sorted(busy_seconds(sweeps).items()))
                 for key, ranked in zip(pending_keys, merged):
                     entry = _CachedSweep(
                         candidates=tuple(ranked),
@@ -631,7 +649,7 @@ class SearchEngine:
                         sweep_seconds=share,
                         retrieval_seconds=retrieval_seconds,
                         total_seconds=time.perf_counter() - t_start,
-                        workers=self.pool.workers,
+                        workers=self.workers,
                         shards=index.shard_count,
                         cache_hit=was_hit,
                         worker_busy=() if was_hit else worker_busy,
@@ -669,13 +687,14 @@ class SearchEngine:
         signal: the engine can answer at all, possibly degraded.
         """
         index, generation = self.indexes.current()
-        quarantined = tuple(self.pool.quarantined)
+        pool_healthy = self.pool is None or self.pool.healthy
+        quarantined = self.pool.quarantined if self.pool is not None else ()
         excluded = sorted(set(index.degraded) | set(quarantined))
-        can_sweep = self.pool.healthy or self.fallback_scan
+        can_sweep = pool_healthy or self.fallback_scan
         payload: dict[str, object] = {
             "healthy": bool(can_sweep),
             "ready": bool(can_sweep and not excluded),
-            "pool_healthy": self.pool.healthy,
+            "pool_healthy": pool_healthy,
             "fallback_scan": self.fallback_scan,
             "fallback_sweeps": self.fallback_sweeps,
             "quarantined_shards": list(quarantined),
@@ -712,7 +731,7 @@ class SearchEngine:
         info["generation"] = self.indexes.generation
         info.update(
             {
-                "workers": self.pool.workers,
+                "workers": self.workers,
                 "kernel": self.spec.resolved_kernel(),
                 "requests": self.requests_served,
                 "cache size": f"{cache.size}/{cache.capacity}",
@@ -723,7 +742,7 @@ class SearchEngine:
         )
         if self._sweep_wall_total > 0:
             info["sustained rate"] = format_cups(self.sustained_cups)
-        if isinstance(self.pool, SupervisedWorkerPool):
+        if self.pool is not None:
             info.update(self.pool.describe())
             info["fallback sweeps"] = self.fallback_sweeps
         return info

@@ -1,4 +1,4 @@
-"""Worker pool mapping index shards across cores.
+"""Shard sweep tasks: the unit of work the search service distributes.
 
 Each task sweeps one :class:`~repro.service.index.Shard` with the
 phase-1 locate kernel — the software row sweep or a simulated
@@ -16,16 +16,16 @@ per-shard top-k can never evict a global top-k member under a total
 order, so the truncation is lossless.  The property test in
 ``tests/test_service_engine.py`` pins this across worker counts.
 
-Workers are plain ``multiprocessing`` processes (fork where available,
-spawn otherwise); a :class:`WorkerSpec` describes how each task builds
-its kernel so accelerator state never needs to cross the process
-boundary.
+Tasks run either in-process (the engine's single-worker path) or in
+the subprocesses of
+:class:`~repro.service.resilience.SupervisedWorkerPool`; a
+:class:`WorkerSpec` describes how each task builds its kernel so
+accelerator state never needs to cross the process boundary.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -33,13 +33,12 @@ from typing import Callable, Sequence
 
 from ..align.scoring import LinearScoring, SubstitutionMatrix
 from ..kernels import KernelBackend, HwSimBackend, available_backends, default_kernel, get_backend
-from .index import DatabaseIndex
 
 __all__ = [
     "Candidate",
     "ShardSweep",
     "WorkerSpec",
-    "ShardWorkerPool",
+    "busy_seconds",
     "merge_candidates",
     "shard_task",
 ]
@@ -129,9 +128,9 @@ def shard_task(
 ) -> tuple:
     """The picklable argument tuple one shard sweep task carries.
 
-    Shared by the plain pool and the supervised pool so both feed
-    :func:`_sweep_shard` identical work — which is what keeps their
-    healthy-path results byte-for-byte interchangeable.
+    Shared by the supervised pool and the engine's in-process sweep so
+    both feed :func:`_sweep_shard` identical work — which is what keeps
+    their healthy-path results byte-for-byte interchangeable.
     """
     return (
         shard.shard_id,
@@ -202,90 +201,9 @@ def merge_candidates(
     return merged
 
 
-class ShardWorkerPool:
-    """Maps shard sweeps over a process pool (or inline for 1 worker).
-
-    A pool is created per sweep call: the fork/spawn cost is tens of
-    milliseconds, far below the O(m·n) sweep it amortizes against, and
-    it keeps the class free of cross-call process lifecycle.
-    """
-
-    def __init__(self, workers: int = 1, spec: WorkerSpec | None = None) -> None:
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        self.workers = workers
-        self.spec = spec if spec is not None else WorkerSpec()
-
-    @property
-    def healthy(self) -> bool:
-        """The plain pool has no supervision; it is always "healthy".
-
-        (A worker crash aborts the sweep with the raw multiprocessing
-        error — use :class:`~repro.service.resilience.SupervisedWorkerPool`
-        when that is not acceptable.)
-        """
-        return True
-
-    @property
-    def quarantined(self) -> tuple[int, ...]:
-        return ()
-
-    @staticmethod
-    def _context() -> multiprocessing.context.BaseContext:
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-    def sweep(
-        self,
-        index: DatabaseIndex,
-        queries: Sequence[str],
-        scheme: LinearScoring | SubstitutionMatrix,
-        min_score: int,
-        k: int,
-        deadline=None,
-        spec: WorkerSpec | None = None,
-    ) -> list[ShardSweep]:
-        """Sweep every active shard for every query; per-shard results.
-
-        Shards the index has quarantined at load time (see
-        ``DatabaseIndex.load(..., on_corrupt="quarantine")``) are
-        excluded here exactly as the supervised pool excludes them.
-
-        ``deadline`` (a :class:`~repro.service.resilience.Deadline`) is
-        enforced at shard granularity: checked before each inline shard
-        sweep, and once more after a parallel map — the plain pool has
-        no supervision to kill a worker mid-shard, so a deadline below
-        sweep time surfaces as soon as the kernel yields control.
-
-        ``spec`` overrides the pool's own kernel spec for this sweep
-        only — the engine passes it when a request's
-        ``QueryOptions.kernel`` names a different backend.
-        """
-        spec = spec if spec is not None else self.spec
-        tasks = [
-            shard_task(shard, queries, scheme, spec, min_score, k)
-            for shard in index.active_shards
-        ]
-        if self.workers == 1 or len(tasks) <= 1:
-            sweeps = []
-            for task in tasks:
-                if deadline is not None:
-                    deadline.check("shard sweep")
-                sweeps.append(_sweep_shard(task))
-            return sweeps
-        if deadline is not None:
-            deadline.check("batch sweep")
-        n_procs = min(self.workers, len(tasks))
-        with self._context().Pool(processes=n_procs) as pool:
-            sweeps = pool.map(_sweep_shard, tasks, chunksize=1)
-        if deadline is not None:
-            deadline.check("batch sweep")
-        return sweeps
-
-    @staticmethod
-    def busy_seconds(sweeps: Sequence[ShardSweep]) -> dict[str, float]:
-        """Total sweep seconds per worker (for utilization reporting)."""
-        busy: dict[str, float] = {}
-        for sweep in sweeps:
-            busy[sweep.worker] = busy.get(sweep.worker, 0.0) + sweep.seconds
-        return busy
+def busy_seconds(sweeps: Sequence[ShardSweep]) -> dict[str, float]:
+    """Total sweep seconds per worker (for utilization reporting)."""
+    busy: dict[str, float] = {}
+    for sweep in sweeps:
+        busy[sweep.worker] = busy.get(sweep.worker, 0.0) + sweep.seconds
+    return busy

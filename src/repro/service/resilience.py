@@ -21,14 +21,13 @@ here:
 * :func:`validate_sweep` — the host-side sanity check on every result
   that crosses the process boundary (the paper's "few bytes" wire
   format is cheap to audit exhaustively);
-* a :class:`SupervisedWorkerPool` — the fault-aware counterpart of
-  :class:`~repro.service.pool.ShardWorkerPool`: one subprocess per
-  shard attempt, worker-death detection, per-task timeouts, retries
-  under the policy, and shard-level **quarantine** for sweeps that
-  fail repeatedly.
+* a :class:`SupervisedWorkerPool` — the service's only multi-process
+  sweep path: one subprocess per shard attempt, worker-death
+  detection, per-task timeouts, retries under the policy, and
+  shard-level **quarantine** for sweeps that fail repeatedly.
 
 The healthy path preserves PR 1's contract: a supervised sweep with no
-faults returns exactly the per-shard candidates the plain pool
+faults returns exactly the per-shard candidates an in-process sweep
 returns, so merged rankings stay bit-identical to
 :func:`repro.scan.scan_database`.
 """
@@ -41,6 +40,7 @@ import math
 import multiprocessing
 import os
 import random
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -758,7 +758,16 @@ def _supervised_entry(task: tuple, fault: Fault | None, result_queue) -> None:
     Every outcome crosses back as a picklable ``("ok", sweep)`` or
     ``("error", message)`` pair; a crash fault (or a real segfault)
     reports nothing, which the supervisor reads from the exit code.
+
+    A forked worker first drops the signal handling it inherited: a
+    parent running an asyncio loop (``repro serve --tcp``) has Python
+    handlers for SIGINT/SIGTERM and a wake-up fd aimed at the loop's
+    self-pipe, so without the reset a signal sent to the worker would
+    be ignored by it and delivered to the parent's handler instead.
     """
+    for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     try:
         if fault is not None:
             if fault.kind == "crash":
@@ -822,8 +831,8 @@ class _Running:
 class SupervisedWorkerPool:
     """Fault-aware shard sweeps: supervision, retries, quarantine.
 
-    Unlike :class:`~repro.service.pool.ShardWorkerPool`, every shard
-    attempt runs in its **own** subprocess (fork where available), so
+    Every shard attempt runs in its **own** subprocess (fork where
+    available), so
     a crash or hang is contained to one attempt: the supervisor
     detects death via the exit code, enforces ``task_timeout`` by
     killing the process, and reschedules the shard under ``policy``'s

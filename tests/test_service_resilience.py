@@ -169,21 +169,37 @@ class TestValidateSweep:
 
 
 class TestSupervisedPool:
-    def test_healthy_sweep_matches_plain_pool(self, planted):
-        from repro.service import ShardWorkerPool
-
-        query, _, index, _ = planted
+    def test_healthy_sweep_matches_inline_and_scan(self, planted):
         from repro.align.scoring import DEFAULT_DNA
+        from repro.service import merge_candidates
+        from repro.service.pool import _sweep_shard, shard_task
 
-        plain = ShardWorkerPool(workers=2).sweep(index, [query], DEFAULT_DNA, 1, 10)
-        outcome = SupervisedWorkerPool(workers=2, policy=FAST).sweep(
-            index, [query], DEFAULT_DNA, 1, 10
-        )
-        assert outcome.complete and not outcome.failed
-        assert outcome.attempts == index.shard_count
-        by_id = {s.shard_id: s for s in plain}
-        for sweep in outcome.sweeps:
-            assert sweep.candidates == by_id[sweep.shard_id].candidates
+        query, records, index, base = planted
+        inline = {
+            shard.shard_id: _sweep_shard(
+                shard_task(shard, (query,), DEFAULT_DNA, WorkerSpec(), 1, 10)
+            )
+            for shard in index.shards
+        }
+        names = [r.identifier for r in records]
+        expected = [
+            (h.hit.score, names.index(h.record), h.hit.i, h.hit.j) for h in base.hits
+        ]
+        for workers in (1, 2):
+            outcome = SupervisedWorkerPool(workers=workers, policy=FAST).sweep(
+                index, [query], DEFAULT_DNA, 1, 10
+            )
+            assert outcome.complete and not outcome.failed
+            assert outcome.attempts == index.shard_count
+            assert [s.shard_id for s in outcome.sweeps] == sorted(inline)
+            for sweep in outcome.sweeps:
+                assert sweep.candidates == inline[sweep.shard_id].candidates
+            assert merge_candidates(outcome.sweeps, 1, 10) == [expected]
+        # The engine's single-worker path sweeps in-process, no pool.
+        engine = SearchEngine(index, workers=1, cache=ResultCache(0))
+        assert engine.pool is None
+        response = engine.search(query)
+        assert ranking(response.report.hits) == ranking(base.hits)
 
     def test_crash_is_retried(self, planted):
         query, _, index, _ = planted
@@ -197,6 +213,56 @@ class TestSupervisedPool:
         assert outcome.worker_deaths == 1
         assert outcome.retries >= 1
         assert pool.healthy
+
+    def test_worker_signals_do_not_reach_the_parent_loop(self, planted):
+        """SIGTERM to a worker kills that worker, not the serving loop.
+
+        The parent runs an asyncio loop with a SIGTERM handler, as
+        ``repro serve --tcp`` does; the sweep runs on an executor
+        thread, as the TCP server's sweeps do.  The worker hangs on
+        its first attempt and is SIGTERMed: that must count as one
+        worker death healed by one retry, and the parent's handler
+        must never fire.
+        """
+        import asyncio
+        import multiprocessing
+        import os
+        import signal
+
+        from repro.align.scoring import DEFAULT_DNA
+
+        query, _, index, _ = planted
+        pool = SupervisedWorkerPool(
+            workers=1, policy=FAST, fault_plan=FaultPlan.hang_on(0, seconds=5.0)
+        )
+        fired = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, fired.append, "SIGTERM")
+            try:
+                sweep = loop.run_in_executor(
+                    None, pool.sweep, index, [query], DEFAULT_DNA, 1, 10
+                )
+                for _ in range(1000):
+                    children = multiprocessing.active_children()
+                    if children:
+                        break
+                    await asyncio.sleep(0.005)
+                assert len(children) == 1  # workers=1: shard 0's hung attempt
+                await asyncio.sleep(0.5)  # let the worker reach its hang
+                os.kill(children[0].pid, signal.SIGTERM)
+                outcome = await asyncio.wait_for(sweep, timeout=30)
+                await asyncio.sleep(0.1)  # a misrouted wake-up would land here
+                return outcome
+            finally:
+                loop.remove_signal_handler(signal.SIGTERM)
+
+        outcome = asyncio.run(scenario())
+        assert fired == []
+        assert outcome.worker_deaths == 1
+        assert outcome.retries == 1
+        assert outcome.complete
 
     def test_exhausted_shard_quarantined_and_skipped(self, planted):
         query, _, index, _ = planted
