@@ -7,13 +7,24 @@ paper's architecture is designed for:
    space, keeping only the best score and its *end* coordinates
    ``(i_end, j_end)``.  In the paper this is the phase offloaded to the
    FPGA; in software it is
-   :func:`~repro.align.smith_waterman.sw_locate_best`.
+   :func:`~repro.align.smith_waterman.sw_locate_best`.  A caller that
+   already holds this ``(score, i, j)`` — the search service, whose
+   database sweep returned it — passes it as ``end=`` and the pass is
+   skipped, exactly as the paper's host receives the three words from
+   the array instead of recomputing them.
 2. **Reverse locate** — repeat over the *reversed prefixes*
    ``rev(s[:i_end])``, ``rev(t[:j_end])``; the best hit's coordinates
    map back to the *start* ``(a, b)`` of an optimal local alignment
    ("the similarity array is re-calculated from the highest score
    position over the reverses of the sequences").  The same systolic
-   array executes this pass unchanged.
+   array executes this pass unchanged.  Only the last
+   :func:`reverse_window` columns of ``t`` are swept (ALAE-style exact
+   score-bound pruning): the repo tie-break makes ``(i_end, j_end)``
+   the smallest optimal end in ``(i, j)`` order, so every score-``S``
+   cell of the reversed matrix is an alignment ending exactly there,
+   and an alignment of score ``S`` over at most ``i_end`` rows spans at
+   most ``i_end + (i_end * p_max - S) // |gap|`` columns.  The
+   windowed pass therefore returns the same hit as the whole prefix.
 3. **End anchoring** — the reverse pass proves ``(a, b)`` starts *some*
    optimal alignment, but that alignment's end need not be
    ``(i_end, j_end)`` when several optima exist.  A linear-space
@@ -25,8 +36,10 @@ paper's architecture is designed for:
    algorithm can be used": globally align ``s[a:e_i]`` vs
    ``t[b:e_j]`` in linear space.
 
-Every step is ``O(min-side)`` memory; the returned alignment's audited
+Every step is ``O(m + n)`` memory — phase 4 included, see
+:mod:`repro.align.hirschberg` — and the returned alignment's audited
 score equals the Smith-Waterman optimum (verified by property tests).
+Passing ``end=`` changes no field of the result.
 """
 
 from __future__ import annotations
@@ -40,7 +53,13 @@ from .scoring import DEFAULT_DNA, LinearScoring, SubstitutionMatrix
 from .smith_waterman import LocalHit, sw_locate_best
 from .traceback import Alignment
 
-__all__ = ["LocateFn", "LocalPipelineResult", "locate_span", "local_align_linear"]
+__all__ = [
+    "LocateFn",
+    "LocalPipelineResult",
+    "locate_span",
+    "local_align_linear",
+    "reverse_window",
+]
 
 
 class LocateFn(Protocol):
@@ -73,11 +92,27 @@ class LocalPipelineResult:
     span: tuple[int, int, int, int]  # (s_start, s_end, t_start, t_end), 0-based half-open
 
 
+def reverse_window(
+    end: LocalHit, scheme: LinearScoring | SubstitutionMatrix = DEFAULT_DNA
+) -> int:
+    """Columns of ``t`` the reverse pass must sweep, ending at ``end.j``.
+
+    An alignment of score ``S = end.score`` over ``x <= end.i`` rows of
+    ``s`` with ``p <= x`` aligned pairs spans ``y`` columns of ``t``,
+    where ``S <= p * p_max - (x - p + y - p) * |gap|``.  Hence ``y <=
+    end.i + (end.i * p_max - S) // |gap|``, ``p_max >= 0`` being the
+    scheme's largest pair score (:meth:`pair_range`).
+    """
+    p_max = scheme.pair_range()[1]
+    return end.i + max(0, end.i * p_max - end.score) // -scheme.gap
+
+
 def locate_span(
     s: str,
     t: str,
     scheme: LinearScoring | SubstitutionMatrix = DEFAULT_DNA,
     locate: Callable[..., LocalHit] | None = None,
+    end: LocalHit | None = None,
 ) -> tuple[LocalHit, LocalHit, tuple[int, int, int, int]]:
     """Phases 1-3: find the exact span of an optimal local alignment.
 
@@ -86,18 +121,26 @@ def locate_span(
     ``s[a:e_i]`` and ``t[b:e_j]``.  A zero-score forward hit (no
     positive-scoring alignment exists) yields the empty span
     ``(0, 0, 0, 0)``.
+
+    ``end`` is phase 1's answer when the caller already has it — the
+    ``(score, i, j)`` a database sweep returned for this pair under
+    the repo tie-break — and skips the forward pass.
     """
     if locate is None:
         locate = sw_locate_best
     s = s.upper()
     t = t.upper()
-    forward = locate(s, t, scheme)
+    forward = end if end is not None else locate(s, t, scheme)
     if forward.score <= 0:
         return forward, LocalHit(0, 0, 0), (0, 0, 0, 0)
     i_end, j_end = forward.i, forward.j
-    # Phase 2: the same kernel over the reversed prefixes.
+    # Phase 2: the same kernel over the reversed prefixes, windowed to
+    # the last reverse_window() columns.  The window is exact: (i_end,
+    # j_end) is the smallest optimal end in (i, j) order, so every
+    # score-S cell of the reversed matrix is an alignment ending there,
+    # and no such alignment is wider than the window.
     s_rev = s[:i_end][::-1]
-    t_rev = t[:j_end][::-1]
+    t_rev = t[max(0, j_end - reverse_window(forward, scheme)) : j_end][::-1]
     reverse = locate(s_rev, t_rev, scheme)
     if reverse.score != forward.score:
         raise AssertionError(
@@ -123,18 +166,21 @@ def local_align_linear(
     t: str,
     scheme: LinearScoring | SubstitutionMatrix = DEFAULT_DNA,
     locate: Callable[..., LocalHit] | None = None,
+    end: LocalHit | None = None,
 ) -> LocalPipelineResult:
     """Optimal local alignment of ``s`` vs ``t`` in linear space.
 
     ``locate`` selects the phase-1/2 kernel — pass
     ``SWAccelerator(...).locate`` to run those phases on the simulated
     FPGA exactly as the paper's co-design intends, or leave the default
-    to run fully in software.  The result's audited score equals
-    ``sw_score(s, t, scheme)``.
+    to run fully in software.  ``end`` hands over phase 1's ``(score,
+    i, j)`` when a sweep already computed it (see :func:`locate_span`);
+    the result is then identical to the call without it.  The result's
+    audited score equals ``sw_score(s, t, scheme)``.
     """
     s = s.upper()
     t = t.upper()
-    forward, reverse, (a, e_i, b, e_j) = locate_span(s, t, scheme, locate)
+    forward, reverse, (a, e_i, b, e_j) = locate_span(s, t, scheme, locate, end)
     if forward.score <= 0:
         empty = Alignment("", "", score=0)
         return LocalPipelineResult(empty, forward, reverse, (0, 0, 0, 0))

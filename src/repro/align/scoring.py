@@ -123,6 +123,14 @@ class LinearScoring:
             s[:, None] == t[None, :], self.match, self.mismatch
         ).astype(np.int64)
 
+    def pair_scores(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise pair scores of two equal-length code arrays."""
+        return np.where(a == b, self.match, self.mismatch)
+
+    def pair_range(self) -> tuple[int, int]:
+        """Smallest and largest score any two characters can pair for."""
+        return self.mismatch, self.match
+
 
 @dataclass(frozen=True)
 class AffineScoring:
@@ -221,6 +229,19 @@ class SubstitutionMatrix:
 
     def substitution_rows(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         return self._table[s[:, None], t[None, :]]
+
+    def pair_scores(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise pair scores of two equal-length code arrays."""
+        return self._table[a, b]
+
+    def pair_range(self) -> tuple[int, int]:
+        """Smallest and largest score any two byte codes pair for.
+
+        Unlike :meth:`max_score` this covers the whole table, characters
+        outside the alphabet included, so it bounds every pair a
+        sequence can contain.
+        """
+        return int(self._table.min()), int(self._table.max())
 
     def max_score(self) -> int:
         """Largest pair score over the declared alphabet (for bounds)."""

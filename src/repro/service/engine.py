@@ -617,9 +617,20 @@ class SearchEngine:
                         alignment = None
                         if rank < retrieve:
                             seq = index.sequence(gidx)
-                            alignment = local_align_linear(
-                                q, seq, self.scheme, self._locate_for_retrieval()
-                            ).alignment
+                            with tracer.span("local_linear", record=name) as traced:
+                                # The sweep's (score, i, j) is phase 1 of the
+                                # retrieval; only the host's reverse,
+                                # anchored and Hirschberg passes run here.
+                                result = local_align_linear(
+                                    q,
+                                    seq,
+                                    self.scheme,
+                                    self._locate_for_retrieval(),
+                                    end=LocalHit(score, i, j),
+                                )
+                                a, e_i, b, e_j = result.span
+                                traced.attrs["cells"] = (e_i - a) * (e_j - b)
+                            alignment = result.alignment
                         evalue = (
                             stats.evalue(score, len(q), len(codes))
                             if stats is not None

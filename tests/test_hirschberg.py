@@ -1,13 +1,60 @@
 """Tests for Hirschberg's linear-space global alignment."""
 
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from repro.align.hirschberg import hirschberg_align, hirschberg_crossing
-from repro.align.needleman_wunsch import nw_score
-from repro.align.scoring import DEFAULT_DNA, encode
+from repro.align.needleman_wunsch import nw_align, nw_score
+from repro.align.scoring import (
+    DEFAULT_DNA,
+    PROTEIN_ALPHABET,
+    LinearScoring,
+    blosum62,
+    decode,
+    encode,
+)
 
 from conftest import dna_pair, linear_schemes
+
+
+def recursive_hirschberg(s, t, scheme):
+    """The textbook recursion: the oracle for the level-batched walk."""
+    parts_s, parts_t = [], []
+
+    def solve(s_codes, t_codes):
+        m, n = len(s_codes), len(t_codes)
+        if m <= 1 or n <= 1:
+            if m or n:
+                base = nw_align(decode(s_codes), decode(t_codes), scheme)
+                parts_s.append(base.s_aligned)
+                parts_t.append(base.t_aligned)
+            return
+        mid = m // 2
+        k = hirschberg_crossing(s_codes, t_codes, mid, scheme)
+        solve(s_codes[:mid], t_codes[:k])
+        solve(s_codes[mid:], t_codes[k:])
+
+    solve(encode(s), encode(t))
+    return "".join(parts_s), "".join(parts_t)
+
+
+@st.composite
+def uneven_pair(draw, alphabet):
+    """Two strings whose lengths differ by up to 4x either way."""
+    short = draw(st.integers(0, 24))
+    long = draw(st.integers(short, 4 * short + 4))
+    if draw(st.booleans()):
+        short, long = long, short
+    s = draw(st.text(alphabet=alphabet, min_size=short, max_size=short))
+    t = draw(st.text(alphabet=alphabet, min_size=long, max_size=long))
+    return s, t
+
+
+def assert_matches_recursion(s, t, scheme):
+    aln = hirschberg_align(s, t, scheme)
+    assert (aln.s_aligned, aln.t_aligned) == recursive_hirschberg(s, t, scheme)
 
 
 class TestHirschberg:
@@ -54,6 +101,39 @@ class TestHirschberg:
 
     def test_case_insensitive(self):
         assert hirschberg_align("acgt", "ACGT").score == 4
+
+
+class TestMatchesRecursion:
+    """The level-batched walk is text-identical to the recursion."""
+
+    @given(uneven_pair("ACGT"), linear_schemes())
+    def test_dna(self, pair, scheme):
+        assert_matches_recursion(*pair, scheme)
+
+    @given(
+        uneven_pair("AB"),
+        st.sampled_from([LinearScoring(1, 0, -1), LinearScoring(2, -1, -1)]),
+    )
+    def test_two_letter_alphabet_heavy_ties(self, pair, scheme):
+        assert_matches_recursion(*pair, scheme)
+
+    @given(uneven_pair(PROTEIN_ALPHABET), st.sampled_from([-4, -8]))
+    def test_blosum62(self, pair, gap):
+        assert_matches_recursion(*pair, blosum62(gap))
+
+    def test_memory_is_linear(self):
+        from repro.io.generate import random_dna
+
+        s, t = random_dna(200, seed=11), random_dna(20_000, seed=12)
+        tracemalloc.start()
+        try:
+            aln = hirschberg_align(s, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        aln.validate(s, t)
+        # A 200 x 20,000 score matrix alone is 32 MB of int64.
+        assert peak <= 10 * 2**20
 
 
 class TestCrossing:

@@ -1,11 +1,11 @@
 """Tests for the section 2.3 pipeline (local alignment in linear space)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from repro.align.local_linear import local_align_linear, locate_span
-from repro.align.scoring import DEFAULT_DNA
-from repro.align.smith_waterman import LocalHit, sw_align, sw_score
+from repro.align.local_linear import local_align_linear, locate_span, reverse_window
+from repro.align.scoring import DEFAULT_DNA, blosum62
+from repro.align.smith_waterman import LocalHit, sw_align, sw_locate_best, sw_score
 from repro.core.accelerator import SWAccelerator
 from repro.io.generate import adversarial_pairs, planted_pair
 
@@ -33,6 +33,34 @@ class TestLocateSpan:
         from repro.align.needleman_wunsch import nw_score
 
         assert nw_score(s[a:e_i], t[b:e_j]) == forward.score
+
+    @given(related_pair(1, 40), linear_schemes())
+    def test_end_reuse_equals_forward_pass(self, pair, scheme):
+        s, t = pair
+        fresh = local_align_linear(s, t, scheme)
+        reused = local_align_linear(s, t, scheme, end=sw_locate_best(s, t, scheme))
+        assert reused == fresh
+
+    @given(dna_pair(1, 40), st.sampled_from([-4, -8]))
+    def test_end_reuse_equals_forward_pass_blosum(self, pair, gap):
+        s, t = pair
+        s, t = s.replace("T", "W"), t.replace("T", "W")  # a protein alphabet
+        scheme = blosum62(gap)
+        fresh = local_align_linear(s, t, scheme)
+        reused = local_align_linear(s, t, scheme, end=sw_locate_best(s, t, scheme))
+        assert reused == fresh
+
+    @given(related_pair(4, 40), linear_schemes())
+    def test_windowed_reverse_pass_equals_whole_prefix(self, pair, scheme):
+        """The windowed reverse pass finds the whole-prefix pass's hit."""
+        s, t = pair
+        forward = sw_locate_best(s, t, scheme)
+        if forward.score <= 0:
+            return
+        whole = sw_locate_best(s[: forward.i][::-1], t[: forward.j][::-1], scheme)
+        _, reverse, _ = locate_span(s, t, scheme)
+        assert reverse == whole
+        assert whole.j <= reverse_window(forward, scheme)
 
     def test_reverse_pass_duality_reported(self, paper_pair):
         s, t = paper_pair

@@ -13,6 +13,7 @@ from repro.scan import scan_database
 from repro.service import (
     DatabaseIndex,
     FaultPlan,
+    QueryOptions,
     QueryRequest,
     ResultCache,
     RetryPolicy,
@@ -128,6 +129,25 @@ class TestEngineTraces:
             range(index.shard_count)
         )
         assert all(c.duration >= 0 for c in shard_spans)
+
+    def test_retrieval_spans_under_response_build(self, planted):
+        """One ``local_linear`` span per retrieved hit, on a cache hit too."""
+        query, _, index = planted
+        obs = Observability.create()
+        engine = SearchEngine(index, obs=obs)
+        for _ in range(2):
+            response = engine.search(query, QueryOptions(retrieve=2, top=4))
+        root = obs.tracer.recent[-1]
+        (build,) = [c for c in root.children if c.name == "response.build"]
+        spans = [c for c in build.children if c.name == "local_linear"]
+        hits = response.report.hits[:2]
+        assert [s.attrs["record"] for s in spans] == [h.record for h in hits]
+        assert [s.attrs["cells"] for s in spans] == [
+            (h.alignment.s_end - h.alignment.s_start)
+            * (h.alignment.t_end - h.alignment.t_start)
+            for h in hits
+        ]
+        assert all(s.duration > 0 for s in spans)
 
     def test_cache_hit_trace_has_no_sweep(self, planted):
         query, _, index = planted
@@ -269,7 +289,7 @@ class TestServeDumper:
         )
         requests: queue.Queue = queue.Queue()
         responses: queue.Queue = queue.Queue()
-        requests.put(QueryRequest(query, top=2))
+        requests.put(QueryRequest(query, QueryOptions(top=2)))
         requests.put(None)
         server.serve_queue(requests, responses)
         # The shutdown path dumps unconditionally, interval or not.

@@ -4,9 +4,9 @@ import pytest
 
 from repro.align.smith_waterman import sw_score
 from repro.cli import main
-from repro.core.accelerator import SWAccelerator
 from repro.io.fasta import FastaRecord, write_fasta
 from repro.io.generate import mutate, random_dna
+from repro.kernels import HwSimBackend
 from repro.scan import scan_database
 
 
@@ -53,9 +53,8 @@ class TestScan:
 
     def test_accelerator_locate(self, database_records):
         query, records = database_records
-        acc = SWAccelerator(elements=64)
         sw = scan_database(query, records, retrieve=0)
-        hw = scan_database(query, records, locate=acc.locate, retrieve=0)
+        hw = scan_database(query, records, kernel=HwSimBackend(elements=64), retrieve=0)
         assert [(h.record, h.score) for h in hw.hits] == [
             (h.record, h.score) for h in sw.hits
         ]

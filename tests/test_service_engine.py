@@ -13,6 +13,7 @@ from repro.io.generate import mutate, random_dna
 from repro.scan import scan_database
 from repro.service import (
     DatabaseIndex,
+    QueryOptions,
     QueryRequest,
     ResultCache,
     SearchEngine,
@@ -87,7 +88,7 @@ class TestPoolEquivalence:
         )
         index = DatabaseIndex.build(records, shard_bp=64)
         engine = SearchEngine(index, workers=workers, cache=ResultCache(0))
-        response = engine.search(query, top=top, min_score=min_score)
+        response = engine.search(query, QueryOptions(top=top, min_score=min_score))
         assert ranking(response.report.hits) == ranking(base.hits)
 
     def test_tie_break_is_database_order(self):
@@ -103,22 +104,31 @@ class TestEngineSemantics:
     def test_min_score_and_top(self, planted):
         query, records, index = planted
         engine = SearchEngine(index, cache=ResultCache(0))
-        response = engine.search(query, top=3, min_score=40)
+        response = engine.search(query, QueryOptions(top=3, min_score=40))
         assert len(response.report.hits) <= 3
         assert all(h.score >= 40 for h in response.report.hits)
         assert response.report.min_score == 40
 
     def test_retrieval_matches_scan(self, planted):
+        """Every retrieved alignment equals ``scan_database``'s, in-process
+        and on a 2-worker supervised pool: text, starts and score."""
+
+        def alignments(hits):
+            return [
+                (a.s_aligned, a.t_aligned, a.s_start, a.t_start, a.score)
+                for a in (h.alignment for h in hits if h.alignment is not None)
+            ]
+
         query, records, index = planted
-        base = scan_database(query, records, retrieve=2, top=5)
-        engine = SearchEngine(index, cache=ResultCache(0))
-        response = engine.search(query, retrieve=2, top=5)
-        flags = [h.alignment is not None for h in response.report.hits]
-        assert flags[:2] == [True, True] and not any(flags[2:])
-        assert (
-            response.report.hits[0].alignment.score == base.hits[0].alignment.score
-        )
-        response.report.hits[0].alignment.validate(query, records[3].sequence)
+        base = scan_database(query, records, retrieve=4, top=5)
+        for workers in (1, 2):
+            engine = SearchEngine(index, workers=workers, cache=ResultCache(0))
+            response = engine.search(query, QueryOptions(retrieve=4, top=5))
+            flags = [h.alignment is not None for h in response.report.hits]
+            assert flags == [True] * 4 + [False]
+            assert ranking(response.report.hits) == ranking(base.hits)
+            assert alignments(response.report.hits) == alignments(base.hits)
+            response.report.hits[0].alignment.validate(query, records[3].sequence)
 
     def test_evalues_match_scan(self, planted):
         from repro.analysis.stats import calibrate
@@ -136,17 +146,17 @@ class TestEngineSemantics:
         _, _, index = planted
         engine = SearchEngine(index)
         with pytest.raises(ValueError):
-            engine.search("AC", top=0)
+            engine.search("AC", QueryOptions(top=0))
         with pytest.raises(ValueError):
-            engine.search("AC", retrieve=-1)
+            engine.search("AC", QueryOptions(retrieve=-1))
 
     def test_batch_single_pass_matches_individual(self, planted):
         query, records, index = planted
         other = random_dna(50, seed=77)
         engine = SearchEngine(index, workers=2, cache=ResultCache(0))
-        batch = engine.search_batch([query, other], top=5)
+        batch = engine.search_batch([query, other], QueryOptions(top=5))
         solo = [
-            SearchEngine(index, cache=ResultCache(0)).search(q, top=5)
+            SearchEngine(index, cache=ResultCache(0)).search(q, QueryOptions(top=5))
             for q in (query, other)
         ]
         for b, s in zip(batch, solo):
@@ -250,17 +260,18 @@ class TestCacheSemantics:
     def test_knob_changes_miss(self, planted):
         query, _, index = planted
         engine = SearchEngine(index)
-        engine.search(query, top=5)
-        assert engine.search(query, top=6).metrics.cache_hit is False
-        assert engine.search(query, top=5, min_score=2).metrics.cache_hit is False
-        assert engine.search(query, top=5).metrics.cache_hit is True
+        engine.search(query, QueryOptions(top=5))
+        assert engine.search(query, QueryOptions(top=6)).metrics.cache_hit is False
+        options = QueryOptions(top=5, min_score=2)
+        assert engine.search(query, options).metrics.cache_hit is False
+        assert engine.search(query, QueryOptions(top=5)).metrics.cache_hit is True
 
     def test_retrieve_does_not_key_cache(self, planted):
         """Retrieval is downstream of the sweep: hit even if it changes."""
         query, _, index = planted
         engine = SearchEngine(index)
-        engine.search(query, retrieve=0)
-        response = engine.search(query, retrieve=1)
+        engine.search(query, QueryOptions(retrieve=0))
+        response = engine.search(query, QueryOptions(retrieve=1))
         assert response.metrics.cache_hit
         assert response.report.hits[0].alignment is not None
 
@@ -352,8 +363,8 @@ class TestServer:
             target=server.serve_queue, args=(requests, responses)
         )
         worker.start()
-        requests.put(QueryRequest(query, top=4))
-        requests.put(QueryRequest(query, top=4))
+        requests.put(QueryRequest(query, QueryOptions(top=4)))
+        requests.put(QueryRequest(query, QueryOptions(top=4)))
         requests.put(None)
         worker.join(timeout=30)
         assert not worker.is_alive()
@@ -369,9 +380,9 @@ class TestServer:
         server = SearchServer(SearchEngine(index))
         requests: queue.Queue = queue.Queue()
         responses: queue.Queue = queue.Queue()
-        requests.put(QueryRequest(query, top=2))
+        requests.put(QueryRequest(query, QueryOptions(top=2)))
         requests.put(None)
-        requests.put(QueryRequest(query, top=3))
+        requests.put(QueryRequest(query, QueryOptions(top=3)))
         served = server.serve_queue(requests, responses)
         assert served == 1
         assert responses.qsize() == 1
@@ -385,7 +396,7 @@ class TestServer:
         requests: queue.Queue = queue.Queue()
         responses: queue.Queue = queue.Queue()
         for top in (2, 3, 4):
-            requests.put(QueryRequest(query, top=top))
+            requests.put(QueryRequest(query, QueryOptions(top=top)))
         requests.put(None)
         server.serve_queue(requests, responses)
         requests.join()  # every request (and the sentinel) acknowledged
@@ -412,7 +423,7 @@ class TestServer:
         def produce(seed):
             barrier.wait()
             for i in range(per_producer):
-                requests.put(QueryRequest(query, top=2 + (seed + i) % 3))
+                requests.put(QueryRequest(query, QueryOptions(top=2 + (seed + i) % 3)))
 
         producers = [
             threading.Thread(target=produce, args=(p,)) for p in range(n_producers)
@@ -440,8 +451,8 @@ class TestServer:
         server = SearchServer(SearchEngine(index))
         requests: queue.Queue = queue.Queue()
         responses: queue.Queue = queue.Queue()
-        requests.put(QueryRequest(query, top=0))  # rejected by the engine
-        requests.put(QueryRequest(query, top=2))
+        requests.put(QueryRequest(query, QueryOptions(top=0)))  # rejected by the engine
+        requests.put(QueryRequest(query, QueryOptions(top=2)))
         requests.put(None)
         served = server.serve_queue(requests, responses)
         assert served == 1
