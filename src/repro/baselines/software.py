@@ -39,11 +39,14 @@ def locate_numpy(
     different code (profile gather + batched row sweep) that is still
     bit-identical on ``(score, i, j)``, keeping the paper's fairness
     rule — hardware and software do *the same work* — while making the
-    software side an honest optimized baseline.
+    software side an honest optimized baseline.  It calls the backend's
+    batched path with a one-pair batch: the backend's own ``locate`` is
+    the reference row sweep, which would make the two sides one code
+    again.
     """
     from ..kernels import get_backend
 
-    return get_backend("numpy-striped").locate(s, t, scheme)
+    return get_backend("numpy-striped").locate_batch([s], [t], scheme)[0][0]
 
 
 def locate_pure(

@@ -21,7 +21,8 @@ Built-in backends
 -----------------
 ``reference``
     The vectorized single-pair row sweep
-    (:func:`~repro.align.smith_waterman.sw_locate_best`); the default.
+    (:func:`~repro.align.smith_waterman.sw_locate_best`) looped over
+    every pair; the comparison point KB1 measures the default against.
 ``pure``
     The pure-Python oracle (:func:`~repro.baselines.software.locate_pure`)
     — slow, dependency-free, shares no code with the kernels it checks.
@@ -30,7 +31,9 @@ Built-in backends
     every query × every record advances through one ``(Q, R, n)`` NumPy
     matrix pass per DP row, amortizing interpreter and dispatch
     overhead across the whole batch (SWAPHI's inter-/intra-sequence
-    parallelization mapped onto array axes).
+    parallelization mapped onto array axes).  The default: shard
+    sweeps are batches.  Its single-pair ``locate`` is the row sweep,
+    which is faster on one pair (alignment retrieval's reverse pass).
 ``hw-sim``
     The simulated FPGA accelerator
     (:class:`~repro.core.accelerator.SWAccelerator`) behind the same
@@ -41,7 +44,7 @@ Selection
 ---------
 :func:`get_backend` resolves a name to a shared backend instance;
 ``None`` resolves the process default — the ``REPRO_KERNEL``
-environment variable when set, else ``reference``.  Precedence across
+environment variable when set, else ``numpy-striped``.  Precedence across
 the service stack is **QueryOptions.kernel > server ``--kernel`` flag
 > process default**.
 
@@ -83,11 +86,12 @@ __all__ = [
 ]
 
 #: The fallback default backend when ``REPRO_KERNEL`` is unset: the
-#: trusted single-pair row sweep every prior release shipped.
-DEFAULT_KERNEL = "reference"
+#: batched kernel, because every shard sweep is a batch.
+DEFAULT_KERNEL = "numpy-striped"
 
 #: Environment variable naming the process-wide default backend (CI
-#: runs the whole tier-1 suite under ``REPRO_KERNEL=numpy-striped``).
+#: runs the whole tier-1 suite a second time under
+#: ``REPRO_KERNEL=reference``).
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
 

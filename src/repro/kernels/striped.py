@@ -22,18 +22,28 @@ Two precomputations make the row cheap:
   along the last axis: ``cummax(H - j·g) + j·g`` resolves the
   within-row dependency for every lane in one ``maximum.accumulate``.
 
-Exactness: records shorter than the chunk's padded width have their
-pad columns **zeroed after every row**.  A real column ``j`` reads
-only columns ``j-1`` and ``j`` of the previous and current rows, so a
-record's real columns never observe another record's — or their own
-pad — state; zeroed pads are exactly the cells of an all-zero DP
-boundary and can never win an ``argmax`` against a positive real cell
-(ties at 0 are never recorded: best-so-far starts at 0 and updates are
-strict).  Likewise queries shorter than the batch's longest query are
-simply masked out of the best-cell update once past their last row.
-The result is **bit-identical** to the reference kernel — same
-``(score, i, j)``, same smallest-``i``-then-smallest-``j`` tie-breaks
-— which the cross-backend property tests pin down.
+Exactness: records shorter than the chunk's padded width are padded
+with the **sentinel code** 256, whose profile column scores every row
+``-(m_max·max(pair, 0) + 1)`` — lower than any DP value can make up.
+A real column ``j`` reads only columns ``j-1`` and ``j`` of the
+previous and current rows, so a record's real columns never observe
+another record's — or their own pad — state.  A pad cell's diagonal
+term is negative, so by induction over rows (``gap < 0``) the cell
+``k`` columns past a record's last real cell ``R_i`` holds at most
+``max(0, R_i + k·gap)``: a pad never strictly beats a real cell of its
+row, and the first-occurrence ``argmax`` always lands on a real
+column (ties at 0 are never recorded: best-so-far starts at 0 and
+updates are strict).  The sentinel column is left out of the
+state-dtype bound, so it costs no width.  Likewise queries shorter
+than the batch's longest query are simply masked out of the best-cell
+update once past their last row.  The result is **bit-identical** to
+the reference kernel — same ``(score, i, j)``, same
+smallest-``i``-then-smallest-``j`` tie-breaks — which the
+cross-backend property tests pin down.
+
+The single-pair entry point :meth:`StripedKernel.locate` is the
+reference row sweep itself: a one-record batch has nothing to
+amortize, and the row sweep is faster on it.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from ..align.scoring import DEFAULT_DNA, LinearScoring, SubstitutionMatrix, encode
-from ..align.smith_waterman import LocalHit
+from ..align.smith_waterman import LocalHit, sw_locate_best
 
 from . import KernelBackend
 
@@ -54,6 +64,10 @@ __all__ = ["StripedKernel", "DEFAULT_CELL_BUDGET"]
 #: records, never of queries, so every chunk still amortizes across
 #: the full query set.
 DEFAULT_CELL_BUDGET = 4_000_000
+
+#: The target code that pads records to a chunk's width: one past
+#: every real byte, so it indexes the profile's sentinel column.
+PAD_CODE = 256
 
 
 class StripedKernel(KernelBackend):
@@ -68,7 +82,8 @@ class StripedKernel(KernelBackend):
 
     # ------------------------------------------------------------------
     def locate(self, s, t, scheme=DEFAULT_DNA) -> LocalHit:
-        return self.locate_batch([s], [t], scheme)[0][0]
+        # One pair: the row sweep (see module docs).
+        return sw_locate_best(s, t, scheme)
 
     def locate_batch(
         self,
@@ -112,17 +127,20 @@ class StripedKernel(KernelBackend):
 
         Rows past a query's length stay at the fill value; they are
         computed by the sweep but masked out of every best-cell update.
+        Column :data:`PAD_CODE` holds the pad sentinel (module docs).
         """
         n_q = len(q_codes)
         m_max = max(len(qc) for qc in q_codes)
         if isinstance(scheme, SubstitutionMatrix):
-            prof = np.zeros((n_q, m_max, 256), dtype=np.int64)
+            prof = np.zeros((n_q, m_max, PAD_CODE + 1), dtype=np.int64)
             for qi, qc in enumerate(q_codes):
-                prof[qi, : len(qc), :] = scheme._table[qc, :]
-            return prof
-        prof = np.full((n_q, m_max, 256), scheme.mismatch, dtype=np.int64)
-        for qi, qc in enumerate(q_codes):
-            prof[qi, np.arange(len(qc)), qc] = scheme.match
+                prof[qi, : len(qc), :PAD_CODE] = scheme._table[qc, :]
+        else:
+            prof = np.full((n_q, m_max, PAD_CODE + 1), scheme.mismatch, dtype=np.int64)
+            for qi, qc in enumerate(q_codes):
+                prof[qi, np.arange(len(qc)), qc] = scheme.match
+        best_pair = max(int(prof[..., :PAD_CODE].max()), 0)
+        prof[..., PAD_CODE] = -(m_max * best_pair + 1)
         return prof
 
     @staticmethod
@@ -134,8 +152,10 @@ class StripedKernel(KernelBackend):
         identical in any dtype inside that bound, so the narrowest
         state (a quarter of the memory traffic for short sequences —
         this kernel is bandwidth bound) changes nothing but wall-clock.
+        The pad sentinel's column is left out: its magnitude,
+        ``m_max·max(pair, 0) + 1``, is inside the bound already.
         """
-        pair_bound = int(np.abs(prof).max(initial=0))
+        pair_bound = int(np.abs(prof[..., :PAD_CODE]).max(initial=0))
         bound = (m_max + n_max) * (pair_bound + abs(gap) + 1)
         if bound < 2**14:
             return np.int16
@@ -155,12 +175,9 @@ class StripedKernel(KernelBackend):
         m_max = max(q_lens)
         dtype = self._state_dtype(prof, m_max, n_max, gap)
         prof = prof.astype(dtype, copy=False)
-        T = np.zeros((n_t, n_max), dtype=np.intp)
+        T = np.full((n_t, n_max), PAD_CODE, dtype=np.intp)
         for ti, tc in enumerate(t_codes):
             T[ti, : len(tc)] = tc
-        t_lens = np.array([len(tc) for tc in t_codes], dtype=np.int64)
-        pad = np.arange(n_max, dtype=np.int64)[None, :] >= t_lens[:, None]
-        any_pad = bool(pad.any())
         q_len_arr = np.array(q_lens, dtype=np.int64)
         flat_T = T.ravel()
 
@@ -170,6 +187,9 @@ class StripedKernel(KernelBackend):
         pair = np.empty((n_q, n_t * n_max), dtype=dtype)
         h = np.empty((n_q, n_t, n_max), dtype=dtype)
         up = np.empty((n_q, n_t, n_max), dtype=dtype)
+        # An array operand, not the scalar 0: NumPy's int16 maximum
+        # against a scalar is an order of magnitude slower.
+        zero = np.zeros((n_q, n_t, n_max), dtype=dtype)
         best = np.zeros((n_q, n_t), dtype=dtype)
         best_i = np.zeros((n_q, n_t), dtype=np.int64)
         best_j = np.zeros((n_q, n_t), dtype=np.int64)
@@ -179,15 +199,11 @@ class StripedKernel(KernelBackend):
             np.add(prev[..., :-1], pair_qr, out=h)
             np.add(prev[..., 1:], gap, out=up)
             np.maximum(h, up, out=h)
-            np.maximum(h, 0, out=h)
+            np.maximum(h, zero, out=h)
             row = cur[..., 1:]
             np.subtract(h, offsets, out=h)
             np.maximum.accumulate(h, axis=-1, out=row)
             row += offsets
-            if any_pad:
-                # Pad columns are never read by real columns; pinning
-                # them to the all-zero boundary keeps argmax honest.
-                row[:, pad] = 0
             vals = row.max(axis=-1)
             improved = (vals > best) & (i <= q_len_arr)[:, None]
             if improved.any():

@@ -347,9 +347,11 @@ class SearchEngine:
     ):
         """One batch sweep with degradation handling.
 
-        Returns ``(sweeps, degraded_ids)`` where ``degraded_ids`` are
-        the shards excluded from this sweep (load-quarantined plus any
-        the pool failed on that fallback did not heal).  ``spec``, when
+        Returns ``(sweeps, degraded_ids, processes)`` where
+        ``degraded_ids`` are the shards excluded from this sweep
+        (load-quarantined plus any the pool failed on that fallback did
+        not heal) and ``processes`` counts the worker processes the
+        pool forked (0 in-process).  ``spec``, when
         set, overrides the engine's kernel spec for this sweep only (a
         request-level ``QueryOptions.kernel`` selection).
 
@@ -370,7 +372,7 @@ class SearchEngine:
                 deadline,
                 spec if spec is not None else self.spec,
             )
-            return sweeps, tuple(sorted(load_degraded))
+            return sweeps, tuple(sorted(load_degraded)), 0
         if not self.pool.healthy and self.fallback_scan:
             # The pool proved itself unable to complete a sweep; stop
             # paying its overhead and keep serving in-process.
@@ -383,7 +385,7 @@ class SearchEngine:
             sweeps = self._sweep_inline(
                 index.active_shards, queries, min_score, k, deadline, _REFERENCE
             )
-            return sweeps, tuple(sorted(load_degraded))
+            return sweeps, tuple(sorted(load_degraded)), 0
         result = self.pool.sweep(
             index,
             queries,
@@ -408,7 +410,7 @@ class SearchEngine:
                 self._sweep_inline(healed, queries, min_score, k, deadline, _REFERENCE)
             )
             failed.clear()
-        return sweeps, tuple(sorted(load_degraded | set(failed)))
+        return sweeps, tuple(sorted(load_degraded | set(failed))), result.processes
 
     def _observe_sweep(self, sweeps, sweep_wall: float, degraded) -> None:
         """Fold one batch sweep into the engine's metrics.
@@ -553,9 +555,10 @@ class SearchEngine:
                     "pool.sweep", pending=len(pending), kernel=kernel
                 ) as sweep_span:
                     t0 = time.perf_counter()
-                    sweeps, degraded = self._run_sweep(
+                    sweeps, degraded, processes = self._run_sweep(
                         index, pending, min_score, top, deadline, sweep_spec
                     )
+                    sweep_span.attrs["processes"] = processes
                     sweep_wall = time.perf_counter() - t0
                     for sweep in sweeps:
                         # cells = query bp x shard bp: the per-span CUPS

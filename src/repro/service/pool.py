@@ -55,11 +55,11 @@ class WorkerSpec:
 
     ``kind`` names a :mod:`repro.kernels` backend, or one of two
     legacy aliases: ``"software"`` (the process-default backend —
-    ``REPRO_KERNEL`` when set, else ``reference``) and
+    ``REPRO_KERNEL`` when set, else ``numpy-striped``) and
     ``"accelerator"`` (the ``hw-sim`` backend with ``elements`` /
     ``engine`` as configured).  The spec — not the kernel — is what
     crosses the process boundary, so device state is built fresh in
-    each worker.
+    each worker process (one per worker per sweep).
     """
 
     kind: str = "software"

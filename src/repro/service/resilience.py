@@ -22,9 +22,10 @@ here:
   that crosses the process boundary (the paper's "few bytes" wire
   format is cheap to audit exhaustively);
 * a :class:`SupervisedWorkerPool` — the service's only multi-process
-  sweep path: one subprocess per shard attempt, worker-death
-  detection, per-task timeouts, retries under the policy, and
-  shard-level **quarantine** for sweeps that fail repeatedly.
+  sweep path: one subprocess per worker per sweep, each sweeping a
+  bp-balanced group of shards, with per-shard worker-death
+  detection, timeouts, retries under the policy, and shard-level
+  **quarantine** for sweeps that fail repeatedly.
 
 The healthy path preserves PR 1's contract: a supervised sweep with no
 faults returns exactly the per-shard candidates an in-process sweep
@@ -38,6 +39,7 @@ import dataclasses
 import io
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import signal
@@ -752,12 +754,17 @@ def _corrupt_sweep(sweep: ShardSweep) -> ShardSweep:
     return dataclasses.replace(sweep, candidates=bad, records=sweep.records + 1)
 
 
-def _supervised_entry(task: tuple, fault: Fault | None, result_queue) -> None:
-    """Worker-process entry: apply any scripted fault, sweep, report.
+def _supervised_entry(tasks: tuple, faults: tuple, conn) -> None:
+    """Worker-process entry: sweep a group of shards in order, report each.
 
-    Every outcome crosses back as a picklable ``("ok", sweep)`` or
-    ``("error", message)`` pair; a crash fault (or a real segfault)
-    reports nothing, which the supervisor reads from the exit code.
+    ``tasks`` and ``faults`` run pairwise: each shard first suffers its
+    scripted fault (if any), then sweeps, and its outcome crosses back
+    over ``conn`` as a picklable ``("ok", sweep)`` or
+    ``("error", message)`` pair as soon as that shard is done — so
+    results arrive in group order, and the supervisor knows which
+    shard is in progress.  A crash fault (or
+    a real segfault) reports nothing for the shard in progress and
+    ends the group, which the supervisor reads from the exit code.
 
     A forked worker first drops the signal handling it inherited: a
     parent running an asyncio loop (``repro serve --tcp``) has Python
@@ -768,23 +775,41 @@ def _supervised_entry(task: tuple, fault: Fault | None, result_queue) -> None:
     for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
         signal.signal(signum, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
-    try:
-        if fault is not None:
-            if fault.kind == "crash":
-                os._exit(13)
-            if fault.kind == "hang":
-                time.sleep(fault.seconds)
-            elif fault.kind == "error":
-                raise RuntimeError("injected worker error")
-        sweep = _sweep_shard(task)
-        if fault is not None and fault.kind == "corrupt":
-            sweep = _corrupt_sweep(sweep)
-        result_queue.put(("ok", sweep))
-    except BaseException as exc:  # noqa: BLE001 - must never escape the worker
+    for task, fault in zip(tasks, faults):
         try:
-            result_queue.put(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            os._exit(1)
+            if fault is not None:
+                if fault.kind == "crash":
+                    os._exit(13)
+                if fault.kind == "hang":
+                    time.sleep(fault.seconds)
+                elif fault.kind == "error":
+                    raise RuntimeError("injected worker error")
+            sweep = _sweep_shard(task)
+            if fault is not None and fault.kind == "corrupt":
+                sweep = _corrupt_sweep(sweep)
+            conn.send(("ok", sweep))
+        except BaseException as exc:  # noqa: BLE001 - must never escape the worker
+            try:
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            except Exception:
+                os._exit(1)
+
+
+def _groups(entries: list, n: int) -> list[list]:
+    """Split pending ``(shard, attempt, ready_at)`` entries into at most
+    ``n`` groups balanced by bp.
+
+    Longest-first greedy assignment to the lightest group; each group
+    then runs in shard-id order.
+    """
+    n = min(n, len(entries))
+    groups: list[list] = [[] for _ in range(n)]
+    loads = [0] * n
+    for entry in sorted(entries, key=lambda e: -e[0].bp):
+        g = loads.index(min(loads))
+        groups[g].append(entry)
+        loads[g] += entry[0].bp
+    return [sorted(g, key=lambda e: e[0].shard_id) for g in groups]
 
 
 @dataclass
@@ -804,7 +829,9 @@ class SweepOutcome:
     ``sweeps`` holds every validated per-shard result; ``failed`` maps
     shard ids that exhausted their retries (or were already
     quarantined) to the :class:`ServiceError` describing why.  The
-    counters record how hard the supervisor had to work.
+    counters record how hard the supervisor had to work: ``attempts``
+    counts shard attempts, ``processes`` the worker processes forked
+    to run them.
     """
 
     sweeps: list[ShardSweep] = field(default_factory=list)
@@ -813,6 +840,7 @@ class SweepOutcome:
     retries: int = 0
     timeouts: int = 0
     worker_deaths: int = 0
+    processes: int = 0
 
     @property
     def complete(self) -> bool:
@@ -821,25 +849,38 @@ class SweepOutcome:
 
 @dataclass
 class _Running:
-    shard: object
-    attempt: int
+    """One worker process sweeping ``items`` — ``(shard, attempt)`` — in order.
+
+    ``items[done]`` is the shard in progress, and ``deadline`` is its
+    kill time.  Results arrive on ``conn``; ``writer`` is the parent's
+    copy of the pipe's other end, closed with it.
+    """
+
+    items: list[tuple[object, int]]
     process: multiprocessing.process.BaseProcess
-    queue: object
+    conn: multiprocessing.connection.Connection
+    writer: multiprocessing.connection.Connection
     deadline: float
+    done: int = 0
+    finished: bool = False
 
 
 class SupervisedWorkerPool:
     """Fault-aware shard sweeps: supervision, retries, quarantine.
 
-    Every shard attempt runs in its **own** subprocess (fork where
-    available), so
-    a crash or hang is contained to one attempt: the supervisor
-    detects death via the exit code, enforces ``task_timeout`` by
-    killing the process, and reschedules the shard under ``policy``'s
-    backoff.  A shard whose attempts exhaust the policy is recorded in
-    the outcome's ``failed`` map; after ``quarantine_after`` such
+    A sweep splits its shards into at most ``workers`` groups balanced
+    by bp and forks **one** subprocess (fork where available) per
+    group, which sweeps its shards in order and reports each as soon
+    as it is done.  Supervision stays per shard: the shard in progress
+    is the first without a result, its ``task_timeout`` kill-timer
+    starts when the previous result arrives, and a death or kill is
+    charged to it alone — the group's shards that never started are
+    re-queued at the same attempt, counting as no failure, retry or
+    attempt.  A failed shard is rescheduled under ``policy``'s
+    backoff; one whose attempts exhaust the policy is recorded in the
+    outcome's ``failed`` map, and after ``quarantine_after`` such
     exhaustions it is quarantined and excluded from future sweeps
-    until :meth:`heal`.
+    until :meth:`heal`.  No worker outlives its sweep.
 
     ``fault_plan`` scripts deterministic failures for tests and
     benchmarks; ``None`` (the default) injects nothing.
@@ -881,6 +922,7 @@ class SupervisedWorkerPool:
         self.retries_total = 0
         self.timeouts_total = 0
         self.worker_deaths_total = 0
+        self.processes_total = 0
         self._healthy = True
         self.bind_obs(obs if obs is not None else NULL_OBS)
 
@@ -890,6 +932,9 @@ class SupervisedWorkerPool:
         registry = obs.registry
         self._m_attempts = registry.counter(
             "sweep_attempts_total", "Shard sweep attempts launched"
+        )
+        self._m_processes = registry.counter(
+            "worker_processes_started_total", "Worker processes forked for sweeps"
         )
         self._m_retries = registry.counter(
             "retries_total", "Shard sweep attempts retried after a failure"
@@ -942,7 +987,7 @@ class SupervisedWorkerPool:
         """Sweep every non-quarantined shard under supervision.
 
         ``deadline``, when given, bounds the *whole* sweep: every
-        attempt's kill-timer is ``min(task_timeout, remaining budget)``
+        shard's kill-timer is ``min(task_timeout, remaining budget)``
         — a retry never gets a fresh static allowance — and once the
         budget is gone the supervisor kills everything still running
         and raises :class:`DeadlineExceeded` instead of limping on.
@@ -968,12 +1013,10 @@ class SupervisedWorkerPool:
         running: list[_Running] = []
         while pending or running:
             if deadline is not None and deadline.expired:
+                # Every in-flight shard was an attempt that ran.
+                self._count_attempts(outcome, len(running))
                 self._abort_running(running)
-                self.sweeps_run += 1
-                self.attempts_total += outcome.attempts
-                self.retries_total += outcome.retries
-                self.timeouts_total += outcome.timeouts
-                self.worker_deaths_total += outcome.worker_deaths
+                self._fold_totals(outcome)
                 self.obs.log.warning(
                     "pool.deadline-exceeded",
                     running=len(running),
@@ -981,14 +1024,15 @@ class SupervisedWorkerPool:
                 )
                 deadline.check("pool sweep")
             now = time.monotonic()
-            waiting = []
-            for shard, attempt, ready_at in pending:
-                if len(running) < self.workers and ready_at <= now:
+            free = self.workers - len(running)
+            ready = [entry for entry in pending if entry[2] <= now]
+            if free > 0 and ready:
+                pending = [entry for entry in pending if entry[2] > now]
+                for group in _groups(ready, free):
                     running.append(
                         self._launch(
                             ctx,
-                            shard,
-                            attempt,
+                            [(shard, attempt) for shard, attempt, _ in group],
                             queries,
                             scheme,
                             min_score,
@@ -997,33 +1041,21 @@ class SupervisedWorkerPool:
                             spec,
                         )
                     )
-                    outcome.attempts += 1
-                    self._m_attempts.inc()
-                else:
-                    waiting.append((shard, attempt, ready_at))
-            pending = waiting
+                    outcome.processes += 1
+                    self._m_processes.inc()
 
             progressed = False
             for run in list(running):
-                resolution = self._poll(run, queries, min_score, k, outcome)
-                if resolution is None:
-                    continue
-                running.remove(run)
-                progressed = True
-                kind, payload = resolution
-                if kind == "ok":
-                    outcome.sweeps.append(payload)
-                    continue
-                self._record_failure(run, payload, pending, outcome, deadline)
+                progressed |= self._advance(
+                    run, queries, min_score, k, outcome, pending, deadline
+                )
+                if run.finished:
+                    running.remove(run)
             if not progressed and (running or pending):
-                time.sleep(self.poll_interval)
+                self._wait(running, pending, deadline)
 
         outcome.sweeps.sort(key=lambda s: s.shard_id)
-        self.sweeps_run += 1
-        self.attempts_total += outcome.attempts
-        self.retries_total += outcome.retries
-        self.timeouts_total += outcome.timeouts
-        self.worker_deaths_total += outcome.worker_deaths
+        self._fold_totals(outcome)
         if runnable and not outcome.sweeps:
             self._healthy = False
             self.obs.log.error(
@@ -1034,8 +1066,40 @@ class SupervisedWorkerPool:
         return outcome
 
     # ------------------------------------------------------------------
+    def _fold_totals(self, outcome: SweepOutcome) -> None:
+        """Add one finished (or aborted) sweep's counters to the totals."""
+        self.sweeps_run += 1
+        self.attempts_total += outcome.attempts
+        self.retries_total += outcome.retries
+        self.timeouts_total += outcome.timeouts
+        self.worker_deaths_total += outcome.worker_deaths
+        self.processes_total += outcome.processes
+
+    def _wait(self, running, pending, deadline: Deadline | None) -> None:
+        """Block until a result or a worker exit, or the next timer.
+
+        Timers are the in-progress shards' kill times, retry backoffs
+        (while a worker slot is free) and the sweep deadline;
+        ``poll_interval`` caps any one wait.
+        """
+        wake = [run.deadline for run in running]
+        if len(running) < self.workers:
+            wake += [entry[2] for entry in pending]
+        if deadline is not None:
+            wake.append(deadline.expires_at)
+        timeout = min(self.poll_interval, max(min(wake) - time.monotonic(), 0.0))
+        handles = [run.conn for run in running] + [run.process.sentinel for run in running]
+        if handles:
+            multiprocessing.connection.wait(handles, timeout)
+        else:
+            time.sleep(timeout)
+
+    def _count_attempts(self, outcome: SweepOutcome, n: int) -> None:
+        outcome.attempts += n
+        self._m_attempts.inc(n)
+
     def _abort_running(self, running: list["_Running"]) -> None:
-        """Kill every in-flight attempt (the sweep's budget is gone)."""
+        """Kill every in-flight worker (the sweep's budget is gone)."""
         for run in running:
             try:
                 run.process.kill()
@@ -1058,48 +1122,82 @@ class SupervisedWorkerPool:
             return static
         return min(static, max(deadline.remaining(), 0.0))
 
+    def _kill_at(self, deadline: Deadline | None) -> float:
+        """When a shard attempt starting now is killed."""
+        limit = self._attempt_timeout(deadline)
+        return time.monotonic() + limit if math.isfinite(limit) else math.inf
+
     def _launch(
-        self, ctx, shard, attempt, queries, scheme, min_score, k, deadline=None, spec=None
+        self, ctx, items, queries, scheme, min_score, k, deadline, spec
     ) -> _Running:
-        fault = (
+        """Fork one worker that sweeps ``items`` in order."""
+        faults = tuple(
             self.fault_plan.fault_for(shard.shard_id, attempt)
             if self.fault_plan is not None
             else None
+            for shard, attempt in items
         )
-        task = shard_task(
-            shard, queries, scheme, spec if spec is not None else self.spec, min_score, k
+        tasks = tuple(
+            shard_task(shard, queries, scheme, spec, min_score, k)
+            for shard, _ in items
         )
-        result_queue = ctx.SimpleQueue()
+        reader, writer = ctx.Pipe(duplex=False)
         process = ctx.Process(
-            target=_supervised_entry, args=(task, fault, result_queue), daemon=True
+            target=_supervised_entry, args=(tasks, faults, writer), daemon=True
         )
         process.start()
-        limit = self._attempt_timeout(deadline)
-        kill_at = time.monotonic() + limit if math.isfinite(limit) else math.inf
-        return _Running(shard, attempt, process, result_queue, kill_at)
+        return _Running(list(items), process, reader, writer, self._kill_at(deadline))
 
-    def _poll(
-        self, run: _Running, queries, min_score: int, k: int, outcome: SweepOutcome
-    ) -> tuple[str, object] | None:
-        """Resolve one running attempt, or ``None`` if still in flight."""
-        sid = run.shard.shard_id
-        if not run.queue.empty():
-            status, payload = run.queue.get()
+    def _advance(
+        self,
+        run: _Running,
+        queries,
+        min_score: int,
+        k: int,
+        outcome: SweepOutcome,
+        pending: list[tuple[object, int, float]],
+        deadline: Deadline | None,
+    ) -> bool:
+        """Resolve what ``run`` has finished; ``True`` if anything did.
+
+        Sets ``run.finished`` once the worker is done with: every shard
+        reported, or the worker died or was killed mid-group.
+        """
+        progressed = False
+        while run.done < len(run.items) and run.conn.poll():
+            status, payload = run.conn.recv()
+            shard, attempt = run.items[run.done]
+            run.done += 1
+            # The next shard in the group starts now: so does its timer.
+            run.deadline = self._kill_at(deadline)
+            self._count_attempts(outcome, 1)
+            progressed = True
+            sid = shard.shard_id
+            if status != "ok":
+                error: ServiceError = ShardFailure(sid, f"worker raised: {payload}")
+            else:
+                try:
+                    validate_sweep(payload, shard, len(queries), min_score, k)
+                except ShardFailure as exc:
+                    error = exc
+                else:
+                    outcome.sweeps.append(payload)
+                    continue
+            self._record_failure(shard, attempt, error, pending, outcome, deadline)
+        if run.done == len(run.items):
             run.process.join()
             self._close(run)
-            if status != "ok":
-                return ("fail", ShardFailure(sid, f"worker raised: {payload}"))
-            try:
-                validate_sweep(payload, run.shard, len(queries), min_score, k)
-            except ShardFailure as exc:
-                return ("fail", exc)
-            return ("ok", payload)
+            run.finished = True
+            return True
+        shard, attempt = run.items[run.done]
+        sid = shard.shard_id
         if run.process.exitcode is not None:
-            # Dead without a result: grant the pipe one grace read in
-            # case the payload landed between the two checks.
-            time.sleep(0.01)
-            if not run.queue.empty():
-                return self._poll(run, queries, min_score, k, outcome)
+            # Dead without this shard's result: grant the pipe one
+            # grace read in case the payload landed between the checks.
+            if run.conn.poll(0.01):
+                return self._advance(
+                    run, queries, min_score, k, outcome, pending, deadline
+                )
             outcome.worker_deaths += 1
             self._m_deaths.inc()
             self.obs.tracer.event(
@@ -1108,15 +1206,11 @@ class SupervisedWorkerPool:
             self.obs.log.warning(
                 "pool.worker-death",
                 shard=sid,
-                attempt=run.attempt,
+                attempt=attempt,
                 exit_code=run.process.exitcode,
             )
-            self._close(run)
-            return (
-                "fail",
-                ShardFailure(sid, f"worker died (exit code {run.process.exitcode})"),
-            )
-        if time.monotonic() > run.deadline:
+            error = ShardFailure(sid, f"worker died (exit code {run.process.exitcode})")
+        elif time.monotonic() > run.deadline:
             outcome.timeouts += 1
             self._m_timeouts.inc()
             self.obs.tracer.event(
@@ -1125,59 +1219,68 @@ class SupervisedWorkerPool:
             self.obs.log.warning(
                 "pool.worker-timeout",
                 shard=sid,
-                attempt=run.attempt,
+                attempt=attempt,
                 seconds=self.task_timeout,
             )
             run.process.kill()
             run.process.join()
-            self._close(run)
-            return ("fail", WorkerTimeout(sid, float(self.task_timeout)))
-        return None
+            error = WorkerTimeout(sid, float(self.task_timeout))
+        else:
+            return progressed
+        self._close(run)
+        run.finished = True
+        self._count_attempts(outcome, 1)
+        self._record_failure(shard, attempt, error, pending, outcome, deadline)
+        # The group's shards that never started go back unchanged.
+        pending.extend((s, a, 0.0) for s, a in run.items[run.done + 1 :])
+        return True
 
     @staticmethod
     def _close(run: _Running) -> None:
-        try:
-            run.queue.close()
-        except Exception:  # pragma: no cover - close is best-effort
-            pass
+        for conn in (run.conn, run.writer):
+            try:
+                conn.close()
+            except Exception:  # pragma: no cover - close is best-effort
+                pass
 
     def _record_failure(
         self,
-        run: _Running,
+        shard,
+        attempt: int,
         error: ServiceError,
         pending: list[tuple[object, int, float]],
         outcome: SweepOutcome,
         deadline: Deadline | None = None,
     ) -> None:
-        sid = run.shard.shard_id
+        sid = shard.shard_id
         health = self.health.setdefault(sid, ShardHealth())
         health.failures += 1
         health.last_error = str(error)
         retry_fits = True
-        if run.attempt < self.policy.retries and deadline is not None:
+        if attempt < self.policy.retries and deadline is not None:
             # A retry whose backoff alone outlives the budget can never
             # complete; spend the remaining time on failing cleanly.
-            retry_fits = self.policy.delay(run.attempt, token=sid) < deadline.remaining()
+            retry_fits = self.policy.delay(attempt, token=sid) < deadline.remaining()
             if not retry_fits:
                 self.obs.log.warning(
                     "pool.retry-skipped", shard=sid, reason="deadline budget exhausted"
                 )
-        if run.attempt < self.policy.retries and retry_fits:
+        if attempt < self.policy.retries and retry_fits:
             outcome.retries += 1
             self._m_retries.inc()
-            delay = self.policy.delay(run.attempt, token=sid)
+            delay = self.policy.delay(attempt, token=sid)
             self.obs.tracer.event(
-                "retry", shard=sid, attempt=run.attempt, delay_s=round(delay, 4)
+                "retry", shard=sid, attempt=attempt, delay_s=round(delay, 4)
             )
             self.obs.log.warning(
                 "pool.retry",
                 shard=sid,
-                attempt=run.attempt,
+                attempt=attempt,
                 delay_s=round(delay, 4),
                 error=str(error),
             )
             ready_at = time.monotonic() + delay
-            pending.append((run.shard, run.attempt + 1, ready_at))
+            pending.append((shard, attempt + 1, ready_at))
             return
         health.exhaustions += 1
         if health.exhaustions >= self.quarantine_after:
@@ -1192,7 +1295,7 @@ class SupervisedWorkerPool:
             )
         else:
             self.obs.log.error(
-                "pool.shard-exhausted", shard=sid, attempt=run.attempt, error=str(error)
+                "pool.shard-exhausted", shard=sid, attempt=attempt, error=str(error)
             )
         outcome.failed[sid] = error
 
@@ -1203,6 +1306,7 @@ class SupervisedWorkerPool:
             "pool": "healthy" if self._healthy else "unhealthy",
             "quarantined shards": len(self.quarantined),
             "sweep attempts": self.attempts_total,
+            "worker processes": self.processes_total,
             "sweep retries": self.retries_total,
             "sweep timeouts": self.timeouts_total,
             "worker deaths": self.worker_deaths_total,

@@ -15,6 +15,7 @@ The :mod:`repro.kernels` contract under test:
   callable.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +33,7 @@ from repro.kernels import (
     register_backend,
 )
 from repro.kernels import _FACTORIES, _INSTANCES
+from repro.kernels.striped import PAD_CODE
 from repro.scan import scan_database
 from repro.service import (
     BadRequest,
@@ -149,13 +151,26 @@ class TestWorkerSpecAliases:
 # ----------------------------------------------------------------------
 # Cross-backend bit-identity
 # ----------------------------------------------------------------------
+def locate_one(name, s, t, scheme=None):
+    """One pair through ``name``'s batched entry point.
+
+    ``numpy-striped``'s own ``locate`` is the reference row sweep, so
+    the single-pair identity tests reach its kernel through a one-pair
+    batch instead.
+    """
+    backend = get_backend(name)
+    if scheme is None:
+        return backend.locate_batch([s], [t])[0][0]
+    return backend.locate_batch([s], [t], scheme)[0][0]
+
+
 class TestBitIdentity:
     @given(dna_pair(0, 28), linear_schemes())
     def test_all_fast_backends_identical_dna(self, pair, scheme):
         s, t = pair
         expected = sw_locate_best(s, t, scheme)
         for name in FAST_BACKENDS:
-            assert get_backend(name).locate(s, t, scheme) == expected, name
+            assert locate_one(name, s, t, scheme) == expected, name
 
     @given(dna_pair(0, 12), linear_schemes())
     @settings(max_examples=12)
@@ -173,22 +188,73 @@ class TestBitIdentity:
         t = random_protein(29, seed=seed + 1)
         expected = sw_locate_best(s, t, scheme)
         for name in FAST_BACKENDS:
-            assert get_backend(name).locate(s, t, scheme) == expected, name
+            assert locate_one(name, s, t, scheme) == expected, name
 
     @given(dna_text(0, 20))
     @settings(max_examples=20)
     def test_empty_sequences(self, t):
         for name in FAST_BACKENDS:
-            backend = get_backend(name)
-            assert backend.locate("", t) == LocalHit(0, 0, 0), name
-            assert backend.locate(t, "") == LocalHit(0, 0, 0), name
+            assert locate_one(name, "", t) == LocalHit(0, 0, 0), name
+            assert locate_one(name, t, "") == LocalHit(0, 0, 0), name
 
     def test_striped_tie_breaks_match_reference(self):
         # A repeated motif forces score ties: smallest i, then
         # smallest j, must win in both kernels.
         s = "ACAC"
         t = "ACACACAC"
-        assert StripedKernel().locate(s, t) == sw_locate_best(s, t)
+        assert StripedKernel().locate_batch([s], [t])[0][0] == sw_locate_best(s, t)
+
+
+def byte_records(min_size, max_size):
+    """Records as raw ``uint8`` arrays, including bytes 0 and 255."""
+    return st.lists(
+        st.sampled_from([0, 65, 67, 71, 84, 255]), min_size=min_size, max_size=max_size
+    ).map(lambda codes: np.array(codes, dtype=np.uint8))
+
+
+class TestPadSentinel:
+    """Ragged batches pad with a sentinel byte instead of zeroing pads.
+
+    Every record shorter than its chunk's width is padded, so ragged
+    batches — 0- and 1-length records next to long ones — are where a
+    pad cell could outscore a real one if the sentinel were wrong.
+    Ragged DNA batches are ``TestBatchEquivalence``'s; these add raw
+    byte records (a query byte 0 would match a zero pad) and BLOSUM62.
+    """
+
+    @given(
+        st.lists(byte_records(0, 12), min_size=1, max_size=3),
+        st.lists(byte_records(0, 30), min_size=1, max_size=5),
+        linear_schemes(),
+    )
+    @settings(max_examples=40)
+    def test_ragged_byte_batches(self, queries, targets, scheme):
+        batch = StripedKernel().locate_batch(queries, targets, scheme)
+        for qi, q in enumerate(queries):
+            for ti, t in enumerate(targets):
+                assert batch[qi][ti] == sw_locate_best(q, t, scheme)
+
+    @given(st.integers(0, 10_000), st.lists(st.integers(0, 40), min_size=1, max_size=5))
+    @settings(max_examples=20)
+    def test_ragged_protein_batches(self, seed, lengths):
+        scheme = blosum62()
+        queries = [random_protein(11, seed=seed), random_protein(1, seed=seed + 1)]
+        targets = [random_protein(n, seed=seed + 2 + n) if n else "" for n in lengths]
+        batch = StripedKernel().locate_batch(queries, targets, scheme)
+        for qi, q in enumerate(queries):
+            for ti, t in enumerate(targets):
+                assert batch[qi][ti] == sw_locate_best(q, t, scheme)
+
+    def test_served_shape_state_stays_int16(self):
+        # 2 x 96 bp queries against ~1.1 kbp records: the sentinel's
+        # magnitude must not widen the state.
+        from repro.align.scoring import DEFAULT_DNA, encode
+
+        queries = [encode(random_dna(96, seed=i)) for i in range(2)]
+        prof = StripedKernel._profiles(queries, DEFAULT_DNA)
+        assert prof[..., PAD_CODE].max() < 0
+        dtype = StripedKernel._state_dtype(prof, 96, 1200, DEFAULT_DNA.gap)
+        assert dtype is np.int16
 
 
 class TestBatchEquivalence:

@@ -159,6 +159,32 @@ class TestEngineTraces:
         assert "pool.sweep" not in [c.name for c in hit_trace.children]
 
 
+class TestPoolProcessTelemetry:
+    def test_processes_and_attempts_told_apart(self, planted):
+        query, _, index = planted
+        assert index.shard_count > 2
+        obs = Observability.create()
+        engine = supervised_engine(index, obs=obs)
+        engine.search(query)
+        counters = obs.registry.snapshot()["counters"]
+        # One fork per worker per sweep, one attempt per shard.
+        assert counters["repro_worker_processes_started_total"] == 2.0
+        assert counters["repro_sweep_attempts_total"] == index.shard_count
+        (root,) = obs.tracer.recent
+        (sweep,) = [c for c in root.children if c.name == "pool.sweep"]
+        assert sweep.attrs["processes"] == 2
+        assert engine.describe()["worker processes"] == 2
+
+    def test_inline_sweep_forks_nothing(self, planted):
+        query, _, index = planted
+        obs = Observability.create()
+        engine = SearchEngine(index, workers=1, cache=ResultCache(0), obs=obs)
+        engine.search(query)
+        (root,) = obs.tracer.recent
+        (sweep,) = [c for c in root.children if c.name == "pool.sweep"]
+        assert sweep.attrs["processes"] == 0
+
+
 class TestFaultTelemetry:
     def test_transient_crash_counts_retries(self, planted):
         query, records, index = planted

@@ -332,6 +332,103 @@ class TestSupervisedPool:
             SupervisedWorkerPool(quarantine_after=0)
 
 
+class TestGroupedPool:
+    """One forked worker per group of shards, supervision per shard.
+
+    The planted index's four equal shards split over two workers into
+    groups ``[0, 2]`` and ``[1, 3]``.
+    """
+
+    def test_groups_balance_bp_and_keep_shard_order(self, planted):
+        from repro.service.resilience import _groups
+
+        _, _, index, _ = planted
+        entries = [(shard, 0, 0.0) for shard in index.shards]
+        groups = [[e[0].shard_id for e in g] for g in _groups(entries, 2)]
+        assert groups == [[0, 2], [1, 3]]
+        assert len(_groups(entries, 8)) == index.shard_count
+
+    def test_healthy_sweep_forks_once_per_worker(self, planted, monkeypatch):
+        import multiprocessing.process
+
+        from repro.align.scoring import DEFAULT_DNA
+
+        query, _, index, _ = planted
+        started = []
+        original = multiprocessing.process.BaseProcess.start
+
+        def counting_start(self):
+            started.append(self)
+            return original(self)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        pool = SupervisedWorkerPool(workers=2, policy=FAST)
+        outcome = pool.sweep(index, [query], DEFAULT_DNA, 1, 10)
+        assert outcome.complete
+        assert len(started) == 2
+        assert outcome.processes == pool.processes_total == 2
+        assert outcome.attempts == index.shard_count == 4
+        assert len({s.worker for s in outcome.sweeps}) == 2
+
+    def test_crash_on_first_shard_spares_its_group_mate(self, planted):
+        from repro.align.scoring import DEFAULT_DNA
+
+        query, _, index, _ = planted
+        pool = SupervisedWorkerPool(
+            workers=2,
+            policy=RetryPolicy(retries=0),
+            fault_plan=FaultPlan.crash_on(0, times=None),
+        )
+        outcome = pool.sweep(index, [query], DEFAULT_DNA, 1, 10)
+        assert set(outcome.failed) == {0}
+        assert pool.quarantined == (0,)
+        assert [s.shard_id for s in outcome.sweeps] == [1, 2, 3]
+        # Shard 2 never started in the dead worker: re-queued at the
+        # same attempt, it is no failure, retry or extra attempt.
+        assert 2 not in pool.health
+        assert outcome.worker_deaths == 1
+        assert outcome.retries == 0
+        assert outcome.attempts == 4
+        assert outcome.processes == 3
+
+    def test_hang_on_second_shard_keeps_first_result(self, planted):
+        from repro.align.scoring import DEFAULT_DNA
+
+        query, _, index, _ = planted
+        pool = SupervisedWorkerPool(
+            workers=2,
+            policy=RetryPolicy(retries=0),
+            task_timeout=1.0,
+            fault_plan=FaultPlan.hang_on(2, seconds=30.0, times=None),
+        )
+        outcome = pool.sweep(index, [query], DEFAULT_DNA, 1, 10)
+        assert outcome.timeouts == 1
+        assert set(outcome.failed) == {2}
+        assert isinstance(outcome.failed[2], WorkerTimeout)
+        assert [s.shard_id for s in outcome.sweeps] == [0, 1, 3]
+        assert outcome.attempts == 4
+        assert outcome.processes == 2
+
+    def test_deadline_mid_group_kills_every_child(self, planted):
+        import multiprocessing
+
+        from repro.align.scoring import DEFAULT_DNA
+        from repro.service import Deadline, DeadlineExceeded
+
+        query, _, index, _ = planted
+        pool = SupervisedWorkerPool(
+            workers=2,
+            policy=FAST,
+            fault_plan=FaultPlan.hang_on(2, seconds=30.0, times=None),
+        )
+        with pytest.raises(DeadlineExceeded):
+            pool.sweep(index, [query], DEFAULT_DNA, 1, 10, deadline=Deadline.after(1.0))
+        assert multiprocessing.active_children() == []
+        # Shards 0, 1 and 3 finished; shard 2 was in progress.
+        assert pool.attempts_total == 4
+        assert pool.processes_total == 2
+
+
 class TestEngineFaultTolerance:
     """The ISSUE acceptance criteria, end to end through SearchEngine."""
 
@@ -447,6 +544,7 @@ class TestEngineFaultTolerance:
         info = engine.describe()
         assert info["pool"] == "healthy"
         assert info["sweep attempts"] == index.shard_count
+        assert info["worker processes"] == min(2, index.shard_count)
         assert info["fallback sweeps"] == 0
 
 
