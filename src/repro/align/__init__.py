@@ -23,8 +23,13 @@ from .generic_dp import (
     sweep,
 )
 from .gotoh import gotoh_align, gotoh_locate_best, gotoh_score
-from .hirschberg import hirschberg_align, hirschberg_crossing
-from .local_linear import LocalPipelineResult, local_align_linear, locate_span
+from .hirschberg import hirschberg_align, hirschberg_align_batch, hirschberg_crossing
+from .local_linear import (
+    LocalPipelineResult,
+    local_align_batch,
+    local_align_linear,
+    locate_span,
+)
 from .matrix import PTR_DIAG, PTR_LEFT, PTR_UP, SimilarityMatrix
 from .myers_miller import (
     gotoh_cells_argmax,
@@ -32,7 +37,13 @@ from .myers_miller import (
     myers_miller_align,
 )
 from .near_best import lane_candidates, near_best_alignments
-from .needleman_wunsch import nw_align, nw_cells_argmax, nw_last_row, nw_score
+from .needleman_wunsch import (
+    nw_align,
+    nw_cells_argmax,
+    nw_cells_argmax_batch,
+    nw_last_row,
+    nw_score,
+)
 from .scoring import (
     DEFAULT_DNA,
     DNA_ALPHABET,
@@ -74,12 +85,15 @@ __all__ = [
     "nw_score",
     "nw_last_row",
     "nw_cells_argmax",
+    "nw_cells_argmax_batch",
     "hirschberg_align",
+    "hirschberg_align_batch",
     "hirschberg_crossing",
     "gotoh_align",
     "gotoh_score",
     "gotoh_locate_best",
     "local_align_linear",
+    "local_align_batch",
     "locate_span",
     "near_best_alignments",
     "lane_candidates",

@@ -23,8 +23,9 @@ smallest-``k`` crossing of :func:`hirschberg_crossing`, and leaves
 (``m <= 1`` or ``n <= 1``) aligned with ``nw_align``'s fill and its
 diagonal > up > left traceback — but it walks the recursion tree one
 level at a time.  Every forward and backward last-row sweep of a level
-runs in one NumPy row loop over a *segmented* layout: the sweeps are
-laid side by side, one segment per sweep (column 0 holding the row
+runs in one NumPy row loop over a *segmented* layout
+(:func:`~repro.align.needleman_wunsch.nw_segmented_sweep`): the sweeps
+are laid side by side, one segment per sweep (column 0 holding the row
 boundary), and the within-row max-plus scan adds a per-segment offset,
 larger than any score range, before ``maximum.accumulate`` so the
 running maximum restarts at each segment.  Segments are ordered by row
@@ -33,21 +34,30 @@ Because the split halves ``s`` exactly, the sweeps of one level have
 nearly equal row counts, and the row loop runs about ``m`` times in all
 instead of once per sweep row of every crossing (about ``m log m``).
 
+**Many alignments in one walk.**  :func:`hirschberg_align_batch` lays
+several ``(s, t)`` pairs end to end and seeds the walk with every
+pair's root, so one row loop per level serves the whole batch — the
+search service retrieves all alignments of a coalesced batch this way.
+A node's crossing depends only on its own sub-problem, so each pair's
+text is the one :func:`hirschberg_align` gives it alone.
+
 A level's layout holds at most two segments per ``t`` column plus one
-boundary column per sweep, and its per-row ``s`` characters one entry
-per sweep row, so memory stays ``O(m + n)`` — the paper's linear space,
-with no tuning knob.
+boundary column per sweep, and one ``s`` index per column, so memory
+stays ``O(m + n)`` — ``O(sum of (m + n))`` for a batch — the paper's
+linear space, with no tuning knob.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .needleman_wunsch import nw_last_row
+from .needleman_wunsch import nw_last_row, nw_segmented_sweep
 from .scoring import DEFAULT_DNA, LinearScoring, SubstitutionMatrix, encode
 from .traceback import GAP, Alignment
 
-__all__ = ["hirschberg_align", "hirschberg_crossing"]
+__all__ = ["hirschberg_align", "hirschberg_align_batch", "hirschberg_crossing"]
 
 
 def hirschberg_crossing(
@@ -77,63 +87,28 @@ def _level_crossings(
     """Crossing column of every node of one recursion level.
 
     ``nodes`` is a ``(P, 4)`` array of ``(i0, i1, j0, j1)`` sub-problems
-    ``s[i0:i1]`` vs ``t[j0:j1]``, each at least 2 x 2.  Returns each
-    node's :func:`hirschberg_crossing` column, relative to ``j0``.
+    ``s[i0:i1]`` vs ``t[j0:j1]``, each at least 2 x 2; the nodes may
+    come from different alignments laid end to end in ``s_codes`` and
+    ``t_codes``.  Returns each node's :func:`hirschberg_crossing`
+    column, relative to ``j0``.
     """
-    gap = scheme.gap
     i0, i1, j0, j1 = nodes.T
     count = len(nodes)
     mid = i0 + (i1 - i0) // 2
     cols = j1 - j0
     # Sweeps 0..P-1 run forward over s[i0:mid] and t[j0:j1]; sweeps
     # P..2P-1 run backward over s[mid:i1] and t[j0:j1], both reversed.
-    rows = np.concatenate([mid - i0, i1 - mid])
-    s_first = np.concatenate([i0, i1 - 1])
-    t_first = np.concatenate([j0, j1 - 1])
-    step = np.repeat(np.array([1, -1], dtype=np.int64), count)
-    order = np.argsort(-rows, kind="stable")
-    rows, s_first, t_first = rows[order], s_first[order], t_first[order]
-    step = step[order]
-    widths = np.concatenate([cols, cols])[order] + 1
-    ends = np.cumsum(widths)
-    starts = ends - widths
-    total = int(ends[-1])
-    sweep_of = np.repeat(np.arange(2 * count), widths)
-    local = np.arange(total) - starts[sweep_of]
-    # Column 0 of a segment is the row boundary; its t code is unused.
-    t_index = t_first[sweep_of] + step[sweep_of] * (local - 1)
-    t_cat = t_codes[t_index.clip(0, len(t_codes) - 1)]
-    # s_rows[r, q]: the character of sweep q's row r + 1 (held at its last).
-    s_rows = s_codes[s_first + step * np.minimum(np.arange(rows[0])[:, None], rows - 1)]
-    # |D| <= (rows + cols) * bound in any sweep, so this stride puts
-    # every value of a segment above every value of the one before it.
-    low, high = scheme.pair_range()
-    bound = max(-gap, abs(low), abs(high))
-    stride = 2 * (len(s_codes) + 2 * len(t_codes) + 2) * bound + 1
-    lift = sweep_of * stride - gap * local  # scan on h + lift, then subtract it
-    prev = gap * local
-    cur = np.empty_like(prev)
-    h = np.empty_like(prev)
-    active, width = 2 * count, total
-    for r in range(1, int(rows[0]) + 1):
-        still = int(np.count_nonzero(rows[:active] >= r))
-        if still < active:
-            # Sweeps that ended on the previous row keep it in both buffers.
-            narrow = int(ends[still - 1])
-            cur[narrow:width] = prev[narrow:width]
-            active, width = still, narrow
-        p, hw = prev[:width], h[:width]
-        pair = scheme.pair_scores(s_rows[r - 1][sweep_of[:width]], t_cat[:width])
-        np.add(p[:-1], pair[1:], out=hw[1:])
-        np.maximum(hw[1:], p[1:] + gap, out=hw[1:])
-        hw[starts[:active]] = gap * r
-        hw += lift[:width]
-        np.maximum.accumulate(hw, out=cur[:width])
-        cur[:width] -= lift[:width]
-        prev, cur = cur, prev
+    last, where, _ = nw_segmented_sweep(
+        s_codes,
+        t_codes,
+        s_first=np.concatenate([i0, i1 - 1]),
+        t_first=np.concatenate([j0, j1 - 1]),
+        step=np.repeat(np.array([1, -1], dtype=np.int64), count),
+        rows=np.concatenate([mid - i0, i1 - mid]),
+        cols=np.concatenate([cols, cols]),
+        scheme=scheme,
+    )
     # totals[c] = forward[c] + backward[cols - c] per node; first argmax.
-    where = np.empty(2 * count, dtype=np.int64)
-    where[order] = starts
     lengths = cols + 1
     t_ends = np.cumsum(lengths)
     t_starts = t_ends - lengths
@@ -141,7 +116,7 @@ def _level_crossings(
     c = np.arange(int(t_ends[-1])) - t_starts[node_of]
     forward = where[:count][node_of] + c
     backward = (where[count:] + cols)[node_of] - c
-    totals = prev[forward] + prev[backward]
+    totals = last[forward] + last[backward]
     best = np.maximum.reduceat(totals, t_starts)
     first = np.where(totals == best[node_of], c, np.iinfo(np.int64).max)
     return np.minimum.reduceat(first, t_starts)
@@ -202,36 +177,61 @@ def hirschberg_align(
     :func:`hirschberg_crossing` and the base-case DP; the level-batched
     walk (module docstring) gives the textbook recursion's text.
     """
-    s = s.upper()
-    t = t.upper()
-    s_codes = encode(s)
-    t_codes = encode(t)
-    leaves: list[tuple[int, int, int, int]] = []
-    level = [(0, len(s), 0, len(t))]
+    return hirschberg_align_batch([(s, t)], scheme)[0]
+
+
+def hirschberg_align_batch(
+    pairs: Sequence[tuple[str, str]],
+    scheme: LinearScoring | SubstitutionMatrix = DEFAULT_DNA,
+) -> list[Alignment]:
+    """:func:`hirschberg_align` of every ``(s, t)`` pair, in one level walk.
+
+    The pairs are laid end to end and the walk starts from every pair's
+    root, so each recursion level of all of them runs in one row loop.
+    A node's crossing depends only on its own sub-problem, so every
+    alignment equals ``hirschberg_align(s, t, scheme)``.
+    """
+    pairs = [(s.upper(), t.upper()) for s, t in pairs]
+    s_all = "".join(s for s, _ in pairs)
+    t_all = "".join(t for _, t in pairs)
+    s_codes = encode(s_all)
+    t_codes = encode(t_all)
+    leaves: list[tuple[int, int, int, int, int]] = []
+    level = []
+    i, j = 0, 0
+    for job, (s, t) in enumerate(pairs):
+        level.append((i, i + len(s), j, j + len(t), job))
+        i, j = i + len(s), j + len(t)
     while level:
         inner = []
         for node in level:
-            i0, i1, j0, j1 = node
+            i0, i1, j0, j1, _ = node
             if i1 - i0 > 1 and j1 - j0 > 1:
                 inner.append(node)
             elif i1 > i0 or j1 > j0:
                 leaves.append(node)
         if not inner:
             break
-        ks = _level_crossings(s_codes, t_codes, np.array(inner, dtype=np.int64), scheme)
+        ks = _level_crossings(
+            s_codes, t_codes, np.array(inner, dtype=np.int64)[:, :4], scheme
+        )
         level = []
-        for (i0, i1, j0, j1), k in zip(inner, ks.tolist()):
+        for (i0, i1, j0, j1, job), k in zip(inner, ks.tolist()):
             mid = i0 + (i1 - i0) // 2
-            level += [(i0, mid, j0, j0 + k), (mid, i1, j0 + k, j1)]
-    # Non-empty leaves tile the path from (0, 0) to (m, n), so their
-    # start corners increase along it.
-    leaves.sort(key=lambda leaf: (leaf[0], leaf[2]))
-    s_bytes, t_bytes = s.encode("ascii"), t.encode("ascii")
-    parts = [_leaf(s_bytes[i0:i1], t_bytes[j0:j1], scheme) for i0, i1, j0, j1 in leaves]
-    s_aligned = "".join(p[0] for p in parts)
-    t_aligned = "".join(p[1] for p in parts)
-    # Score the assembled alignment; Alignment.audit_score is the
-    # single source of truth for scoring a gapped pair.
-    aln = Alignment(s_aligned, t_aligned, score=0)
-    score = aln.audit_score(scheme)
-    return Alignment(s_aligned, t_aligned, score=score)
+            level += [(i0, mid, j0, j0 + k, job), (mid, i1, j0 + k, j1, job)]
+    # A pair's non-empty leaves tile its path from (0, 0) to (m, n), so
+    # their start corners increase along it.
+    leaves.sort(key=lambda leaf: (leaf[4], leaf[0], leaf[2]))
+    s_bytes, t_bytes = s_all.encode("ascii"), t_all.encode("ascii")
+    parts: list[list[tuple[str, str]]] = [[] for _ in pairs]
+    for i0, i1, j0, j1, job in leaves:
+        parts[job].append(_leaf(s_bytes[i0:i1], t_bytes[j0:j1], scheme))
+    alignments = []
+    for job_parts in parts:
+        s_aligned = "".join(p[0] for p in job_parts)
+        t_aligned = "".join(p[1] for p in job_parts)
+        # Score the assembled alignment; Alignment.audit_score is the
+        # single source of truth for scoring a gapped pair.
+        aln = Alignment(s_aligned, t_aligned, score=0)
+        alignments.append(Alignment(s_aligned, t_aligned, score=aln.audit_score(scheme)))
+    return alignments

@@ -25,7 +25,10 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..align.local_linear import local_align_linear
+# ``local_align_linear`` stays a module attribute because servebench's
+# traced run wraps it by name and fails at start-up without it.  The
+# engine itself retrieves through ``local_align_batch``.
+from ..align.local_linear import local_align_batch, local_align_linear  # noqa: F401
 from ..align.scoring import DEFAULT_DNA, LinearScoring, SubstitutionMatrix
 from ..align.smith_waterman import LocalHit
 from ..analysis.cups import cups as _cups
@@ -232,7 +235,7 @@ class SearchEngine:
         self.cache = cache if cache is not None else ResultCache()
         self.statistics = statistics
         self._scheme_token = scheme_token(scheme)
-        self._retrieve_locate = None
+        self._retrieve_locate_batch = None
         self.requests_served = 0
         self.obs = obs if obs is not None else NULL_OBS
         if self.obs.enabled and pool is not None and not pool.obs.enabled:
@@ -313,10 +316,43 @@ class SearchEngine:
         )
         return resolved.kernel, override
 
-    def _locate_for_retrieval(self):
-        if self._retrieve_locate is None:
-            self._retrieve_locate = self.spec.make_locate(self.scheme)
-        return self._retrieve_locate
+    def _retrieve(
+        self, index: DatabaseIndex, queries: list[str], entries, retrieve: int
+    ) -> tuple[list[list], list[float]]:
+        """Every ``rank < retrieve`` alignment of a batch, in one call.
+
+        The sweep's ``(score, i, j)`` of each hit is phase 1 of its
+        retrieval; the host's reverse, anchored and Hirschberg passes
+        run here, each once for the whole batch
+        (:func:`~repro.align.local_linear.local_align_batch`), on the
+        engine kernel's ``locate_batch``.  Returns each query's
+        alignments by rank and its share of the retrieval wall time,
+        split by alignment-span cells as the sweep's time is split by
+        swept cells.
+        """
+        jobs: list[tuple[str, str, LocalHit]] = []
+        owners: list[int] = []
+        for n, (q, entry) in enumerate(zip(queries, entries)):
+            for score, gidx, i, j in entry.candidates[:retrieve]:
+                jobs.append((q, index.sequence(gidx), LocalHit(score, i, j)))
+                owners.append(n)
+        alignments: list[list] = [[] for _ in queries]
+        if not jobs:
+            return alignments, [0.0] * len(queries)
+        if self._retrieve_locate_batch is None:
+            self._retrieve_locate_batch = self.spec.make_backend(self.scheme).locate_batch
+        with self.obs.tracer.span("local_linear", hits=len(jobs)) as traced:
+            t0 = time.perf_counter()
+            results = local_align_batch(jobs, self.scheme, self._retrieve_locate_batch)
+            wall = time.perf_counter() - t0
+            cells = [(e_i - a) * (e_j - b) for a, e_i, b, e_j in (r.span for r in results)]
+            traced.attrs["cells"] = sum(cells)
+        owned = [0] * len(queries)
+        for n, result, c in zip(owners, results, cells):
+            alignments[n].append(result.alignment)
+            owned[n] += c
+        total = sum(cells) or 1
+        return alignments, [wall * c / total for c in owned]
 
     # ------------------------------------------------------------------
     def _sweep_inline(
@@ -605,8 +641,13 @@ class SearchEngine:
 
             responses: list[SearchResponse] = []
             with tracer.span("response.build", responses=len(keys)):
-                for q, key in zip(normalized, keys):
-                    entry = cached[key]
+                entries = [cached[key] for key in keys]
+                retrieved, retrieval_shares = self._retrieve(
+                    index, normalized, entries, retrieve
+                )
+                for q, key, entry, alignments, retrieval_seconds in zip(
+                    normalized, keys, entries, retrieved, retrieval_shares
+                ):
                     was_hit = key in hit_keys
                     report = ScanReport(
                         query_length=len(q),
@@ -614,26 +655,9 @@ class SearchEngine:
                         records_scanned=entry.records,
                         cells=0 if was_hit else len(q) * swept_bp,
                     )
-                    t_retrieve = time.perf_counter()
                     for rank, (score, gidx, i, j) in enumerate(entry.candidates):
                         name, codes = index.record(gidx)
-                        alignment = None
-                        if rank < retrieve:
-                            seq = index.sequence(gidx)
-                            with tracer.span("local_linear", record=name) as traced:
-                                # The sweep's (score, i, j) is phase 1 of the
-                                # retrieval; only the host's reverse,
-                                # anchored and Hirschberg passes run here.
-                                result = local_align_linear(
-                                    q,
-                                    seq,
-                                    self.scheme,
-                                    self._locate_for_retrieval(),
-                                    end=LocalHit(score, i, j),
-                                )
-                                a, e_i, b, e_j = result.span
-                                traced.attrs["cells"] = (e_i - a) * (e_j - b)
-                            alignment = result.alignment
+                        alignment = alignments[rank] if rank < len(alignments) else None
                         evalue = (
                             stats.evalue(score, len(q), len(codes))
                             if stats is not None
@@ -648,7 +672,6 @@ class SearchEngine:
                                 evalue=evalue,
                             )
                         )
-                    retrieval_seconds = time.perf_counter() - t_retrieve
                     share = (
                         0.0
                         if was_hit

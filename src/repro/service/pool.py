@@ -29,7 +29,7 @@ import heapq
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..align.scoring import LinearScoring, SubstitutionMatrix
 from ..kernels import KernelBackend, HwSimBackend, available_backends, default_kernel, get_backend
@@ -99,11 +99,6 @@ class WorkerSpec:
             # crosses the process boundary.
             return HwSimBackend(elements=self.elements, engine=self.engine)
         return get_backend(name)
-
-    def make_locate(
-        self, scheme: LinearScoring | SubstitutionMatrix
-    ) -> Callable[..., object]:
-        return self.make_backend(scheme).locate
 
 
 @dataclass(frozen=True)

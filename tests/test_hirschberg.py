@@ -5,7 +5,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.align.hirschberg import hirschberg_align, hirschberg_crossing
+from repro.align.hirschberg import (
+    hirschberg_align,
+    hirschberg_align_batch,
+    hirschberg_crossing,
+)
 from repro.align.needleman_wunsch import nw_align, nw_score
 from repro.align.scoring import (
     DEFAULT_DNA,
@@ -134,6 +138,38 @@ class TestMatchesRecursion:
         aln.validate(s, t)
         # A 200 x 20,000 score matrix alone is 32 MB of int64.
         assert peak <= 10 * 2**20
+
+
+class TestMultiRootWalk:
+    """One level walk seeded with many roots equals separate walks."""
+
+    @given(st.lists(uneven_pair("ACGT"), min_size=1, max_size=6), linear_schemes())
+    def test_dna(self, pairs, scheme):
+        alignments = hirschberg_align_batch(pairs, scheme)
+        assert len(alignments) == len(pairs)
+        for (s, t), aln in zip(pairs, alignments):
+            assert (aln.s_aligned, aln.t_aligned) == recursive_hirschberg(s, t, scheme)
+            assert aln == hirschberg_align(s, t, scheme)
+
+    @given(
+        st.lists(uneven_pair(PROTEIN_ALPHABET), min_size=1, max_size=4),
+        st.sampled_from([-4, -8]),
+    )
+    def test_blosum62(self, pairs, gap):
+        scheme = blosum62(gap)
+        for (s, t), aln in zip(pairs, hirschberg_align_batch(pairs, scheme)):
+            assert (aln.s_aligned, aln.t_aligned) == recursive_hirschberg(s, t, scheme)
+
+    def test_uneven_depths_and_empty_pairs(self):
+        from repro.io.generate import mutated_pair
+
+        deep = mutated_pair(150, rate=0.2, seed=3)
+        pairs = [("", ""), deep, ("A", "ACGT"), ("ACGT", ""), ("GATTACA", "GCATGCT")]
+        for (s, t), aln in zip(pairs, hirschberg_align_batch(pairs)):
+            assert (aln.s_aligned, aln.t_aligned) == recursive_hirschberg(s, t, DEFAULT_DNA)
+
+    def test_empty_batch(self):
+        assert hirschberg_align_batch([]) == []
 
 
 class TestCrossing:

@@ -306,6 +306,34 @@ class TestScanKernelSelection:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             scan_database("ACGT", self.RECORDS, kernel="fortran")
 
+    @pytest.mark.parametrize("name", available_backends())
+    def test_one_call_sweep_equals_per_record_loop(self, name):
+        """``kernel=`` sweeps through one ``locate_batch`` call; the
+        ranking is the per-record ``locate`` loop's, ties included."""
+        query = random_dna(24, seed=61)
+        records = [("empty", "")]
+        for i in range(7):
+            seq = random_dna(40 + 9 * i, seed=70 + i)
+            if i in (2, 5):  # two equal-scoring copies: a tie in rank order
+                seq = seq[:10] + query + seq[10 + len(query):]
+            records.append((f"r{i}", seq.lower() if i == 3 else seq))
+        backend = get_backend(name)
+        loop = sorted(
+            (
+                (backend.locate(query, seq.upper()), rec_name, len(seq))
+                for rec_name, seq in records
+            ),
+            key=lambda item: -item[0].score,
+        )
+        expected = [(n, length, hit.as_tuple()) for hit, n, length in loop if hit.score >= 1]
+        report = scan_database(query, records, kernel=name, top=len(records), retrieve=2)
+        assert ranking(report.hits) == expected[: len(records)]
+        assert report.records_scanned == len(records)
+        assert report.cells == len(query) * sum(len(seq) for _, seq in records)
+        base = scan_database(query, records, top=len(records), retrieve=2)
+        assert ranking(report.hits) == ranking(base.hits)
+        assert [h.alignment for h in report.hits] == [h.alignment for h in base.hits]
+
     def test_locate_callable_deprecated_but_works(self):
         with pytest.warns(DeprecationWarning, match="locate= is deprecated"):
             report = scan_database(

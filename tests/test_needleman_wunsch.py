@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from repro.align.matrix import SimilarityMatrix
-from repro.align.needleman_wunsch import nw_align, nw_cells_argmax, nw_last_row, nw_score
-from repro.align.scoring import DEFAULT_DNA, encode
+from repro.align.needleman_wunsch import (
+    nw_align,
+    nw_cells_argmax,
+    nw_cells_argmax_batch,
+    nw_last_row,
+    nw_score,
+)
+from repro.align.scoring import DEFAULT_DNA, PROTEIN_ALPHABET, LinearScoring, blosum62, encode
 from repro.align.smith_waterman import LocalHit, sw_score
 
 from conftest import dna_pair, linear_schemes
@@ -103,3 +109,52 @@ class TestAlign:
         aln = nw_align("", "ACG")
         assert aln.s_aligned == "---"
         assert aln.t_aligned == "ACG"
+
+
+class TestCellsArgmaxBatch:
+    """The batched anchored pass equals ``nw_cells_argmax`` per pair."""
+
+    @given(st.lists(dna_pair(0, 20), min_size=1, max_size=8), linear_schemes())
+    def test_dna(self, pairs, scheme):
+        assert nw_cells_argmax_batch(pairs, scheme) == [
+            nw_cells_argmax(s, t, scheme) for s, t in pairs
+        ]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet="AB", max_size=12), st.text(alphabet="AB", max_size=12)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([LinearScoring(1, 0, -1), LinearScoring(2, -1, -1)]),
+    )
+    def test_heavy_ties(self, pairs, scheme):
+        assert nw_cells_argmax_batch(pairs, scheme) == [
+            nw_cells_argmax(s, t, scheme) for s, t in pairs
+        ]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet=PROTEIN_ALPHABET, max_size=16),
+                st.text(alphabet=PROTEIN_ALPHABET, max_size=16),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([-4, -8]),
+    )
+    def test_blosum62(self, pairs, gap):
+        scheme = blosum62(gap)
+        assert nw_cells_argmax_batch(pairs, scheme) == [
+            nw_cells_argmax(s, t, scheme) for s, t in pairs
+        ]
+
+    def test_empty_and_single_character_pairs(self):
+        pairs = [("", "ACGT"), ("A", "A"), ("ACGT", ""), ("A", "C"), ("GGG", "G")]
+        assert nw_cells_argmax_batch(pairs) == [nw_cells_argmax(s, t) for s, t in pairs]
+
+    def test_empty_batch(self):
+        assert nw_cells_argmax_batch([]) == []

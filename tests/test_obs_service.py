@@ -131,23 +131,45 @@ class TestEngineTraces:
         assert all(c.duration >= 0 for c in shard_spans)
 
     def test_retrieval_spans_under_response_build(self, planted):
-        """One ``local_linear`` span per retrieved hit, on a cache hit too."""
+        """One ``local_linear`` span per batch, on a cache hit too.
+
+        Its ``hits``/``cells`` cover every retrieved alignment of the
+        batch, and each response's ``retrieval_seconds`` is the span's
+        time split by its alignments' cells.
+        """
         query, _, index = planted
+        queries = [query, query[10:40]]
         obs = Observability.create()
         engine = SearchEngine(index, obs=obs)
         for _ in range(2):
-            response = engine.search(query, QueryOptions(retrieve=2, top=4))
+            responses = engine.search_batch(queries, QueryOptions(retrieve=2, top=4))
         root = obs.tracer.recent[-1]
         (build,) = [c for c in root.children if c.name == "response.build"]
-        spans = [c for c in build.children if c.name == "local_linear"]
-        hits = response.report.hits[:2]
-        assert [s.attrs["record"] for s in spans] == [h.record for h in hits]
-        assert [s.attrs["cells"] for s in spans] == [
-            (h.alignment.s_end - h.alignment.s_start)
-            * (h.alignment.t_end - h.alignment.t_start)
-            for h in hits
+        (span,) = [c for c in build.children if c.name == "local_linear"]
+        cells = [
+            sum(
+                (h.alignment.s_end - h.alignment.s_start)
+                * (h.alignment.t_end - h.alignment.t_start)
+                for h in r.report.hits[:2]
+            )
+            for r in responses
         ]
-        assert all(s.duration > 0 for s in spans)
+        assert span.attrs["hits"] == 4
+        assert span.attrs["cells"] == sum(cells) > 0
+        assert span.duration > 0
+        shares = [r.metrics.retrieval_seconds for r in responses]
+        assert 0 < sum(shares) <= span.duration
+        for share, c in zip(shares, cells):
+            assert share == pytest.approx(sum(shares) * c / sum(cells))
+
+    def test_no_retrieval_span_without_retrieval(self, planted):
+        query, _, index = planted
+        obs = Observability.create()
+        engine = SearchEngine(index, obs=obs)
+        (response,) = engine.search_batch([query], QueryOptions(retrieve=0, top=4))
+        (build,) = [c for c in obs.tracer.recent[-1].children if c.name == "response.build"]
+        assert [c.name for c in build.children] == []
+        assert response.metrics.retrieval_seconds == 0.0
 
     def test_cache_hit_trace_has_no_sweep(self, planted):
         query, _, index = planted
