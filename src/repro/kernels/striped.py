@@ -42,8 +42,9 @@ smallest-``i``-then-smallest-``j`` tie-breaks — which the
 cross-backend property tests pin down.
 
 The single-pair entry point :meth:`StripedKernel.locate` is the
-reference row sweep itself: a one-record batch has nothing to
-amortize, and the row sweep is faster on it.
+reference row sweep itself, and so is a one-pair ``locate_batch``: a
+one-record batch has nothing to amortize, and the row sweep is faster
+on it.
 """
 
 from __future__ import annotations
@@ -91,6 +92,9 @@ class StripedKernel(KernelBackend):
         targets: Sequence[str | np.ndarray],
         scheme: LinearScoring | SubstitutionMatrix = DEFAULT_DNA,
     ) -> list[list[LocalHit]]:
+        if len(queries) == 1 and len(targets) == 1:
+            # One pair: the row sweep (see module docs).
+            return [[self.locate(queries[0], targets[0], scheme)]]
         q_codes = [encode(q) for q in queries]
         t_codes = [encode(t) for t in targets]
         hits: list[list[LocalHit]] = [
