@@ -8,8 +8,8 @@ retrieval.  This ablation measures what that choice buys and costs:
 * memory: coordinates + linear-space retrieval vs storing the matrix
   and doing a quadratic argmax + traceback;
 * time: the section 2.3 pipeline runs the matrix ~2-3x (forward,
-  windowed reverse, anchored, Hirschberg halves) — the "can double
-  the execution time" remark of section 2.3, measured;
+  windowed reverse, Hirschberg halves) — the "can double the
+  execution time" remark of section 2.3, measured;
 * area: the extra registers/comparator per element in the resource
   model.
 """

@@ -3,7 +3,7 @@
 A search that asks for alignments runs, per retrieved hit, the host
 half of the paper's co-design (section 2.3): the sweep has already
 returned the record's ``(score, i, j)``, and the host recovers the
-alignment with a reverse pass, an anchored pass and Hirschberg, all in
+alignment with an end-anchored reverse pass and Hirschberg, both in
 linear space.  RT1 times that retrieval —
 :func:`~repro.align.local_linear.local_align_linear` with the sweep's
 hit passed as ``end=``, exactly as the service calls it — on the shape
@@ -21,9 +21,8 @@ equals the one that runs its own forward pass, field for field.
 
 The **batched rows** time what the service runs for a coalesced
 batch: each query planted three times, every hit retrieved by one
-:func:`~repro.align.local_linear.local_align_batch` call on the
-``numpy-striped`` kernel, over the same retrievals made as separate
-``local_align_linear`` calls.  Each ratio is batch time over separate
+:func:`~repro.align.local_linear.local_align_batch` call, over the same
+retrievals made as separate ``local_align_linear`` calls.  Each ratio is batch time over separate
 time (lower is better), and each identity half checks that the batch
 equals the separate calls field for field.  The shapes
 (:data:`BATCH_SHAPES`):
@@ -32,7 +31,7 @@ equals the separate calls field for field.  The shapes
   hot-retrieve shape; a query's hits mostly end on its last row);
 * ``distinct-ends`` — 2 queries × 3 copies of ever shorter query
   prefixes, so every hit ends on its own query row and the reverse
-  pass gets one prefix per job;
+  pass's segments have unequal row counts;
 * ``large`` — 32 queries × 3 such copies: the service's largest
   coalesced batch (``NetConfig.batch_max``) with ``retrieve=3``.
 
@@ -127,18 +126,15 @@ def _best_seconds(fns, repeats):
 
 def run_batch(name, assert_ratio=True):
     """The batched row ``name`` of :data:`BATCH_SHAPES`; its payload entry."""
-    from repro.kernels import get_backend
-
     queries, copies, distinct_ends, repeats = BATCH_SHAPES[name]
     jobs = build_batch(queries, copies, distinct_ends)
-    locate_batch = get_backend("numpy-striped").locate_batch
-    batched = local_align_batch(jobs, DEFAULT_DNA, locate_batch)
+    batched = local_align_batch(jobs, DEFAULT_DNA)
     assert batched == [local_align_linear(q, r, end=hit) for q, r, hit in jobs], (
         "the batched retrieval differs from the separate calls"
     )
     batch_s, separate_s = _best_seconds(
         (
-            lambda: local_align_batch(jobs, DEFAULT_DNA, locate_batch),
+            lambda: local_align_batch(jobs, DEFAULT_DNA),
             lambda: [local_align_linear(q, r, end=hit) for q, r, hit in jobs],
         ),
         repeats,
@@ -154,7 +150,6 @@ def run_batch(name, assert_ratio=True):
         "copies": copies,
         "distinct_ends": distinct_ends,
         "jobs": len(jobs),
-        "reverse_prefixes": len({(q, hit.i) for q, _, hit in jobs}),
         "repeats": repeats,
         "max_ratio": MAX_BATCH_RATIO,
         "batch_seconds": batch_s,

@@ -33,6 +33,9 @@ count, so the sweeps still running always form a prefix of the layout.
 Because the split halves ``s`` exactly, the sweeps of one level have
 nearly equal row counts, and the row loop runs about ``m`` times in all
 instead of once per sweep row of every crossing (about ``m log m``).
+The leaves, one side at most one character long, have a closed-form
+fill and traceback (:func:`_leaf_columns`); all leaves of the walk are
+aligned and scored in one vectorised pass, not one DP each.
 
 **Many alignments in one walk.**  :func:`hirschberg_align_batch` lays
 several ``(s, t)`` pairs end to end and seeds the walk with every
@@ -122,47 +125,77 @@ def _level_crossings(
     return np.minimum.reduceat(first, t_starts)
 
 
-def _leaf(
-    s: bytes, t: bytes, scheme: LinearScoring | SubstitutionMatrix
-) -> tuple[str, str]:
-    """Align a leaf (``len(s) <= 1`` or ``len(t) <= 1``) as ``nw_align`` does.
+#: Traceback moves: a pair column, ``s`` over a gap, a gap over ``t``.
+_DIAG, _UP, _LEFT = 0, 1, 2
 
-    The same global fill as :class:`~repro.align.matrix.SimilarityMatrix`
-    and the same diagonal > up > left traceback; one side is at most
-    one character, so the matrix is linear-sized.
+
+def _leaf_columns(
+    s_codes: np.ndarray,
+    t_codes: np.ndarray,
+    leaves: np.ndarray,
+    scheme: LinearScoring | SubstitutionMatrix,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Align every leaf as ``nw_align`` does, in closed form.
+
+    ``leaves`` is an ``(L, 4)`` array of non-empty ``(i0, i1, j0, j1)``
+    sub-problems with ``m = i1 - i0 <= 1`` or ``n = j1 - j0 <= 1``,
+    whose concatenation walks ``s_codes`` and ``t_codes`` in order (each
+    character in exactly one leaf).  Returns ``(moves, lengths,
+    scores)``: every leaf's traceback moves in order, laid end to end,
+    and each leaf's move count and score.
+
+    With one row (``m == 1``, character ``a`` against ``t_1..t_n``) the
+    fill is ``D[1][j] = gap * (j - 1) + M_j``, ``M_j = max(2 * gap,
+    max_{k <= j} pair(a, t_k))``.  The diagonal > up > left traceback
+    therefore moves left from ``j = n`` to the largest ``j*`` where
+    ``pair(a, t_j*) == M_j*`` (diagonal) or ``M_j* == 2 * gap`` (up;
+    ``j* = 0`` at the latest), then left to the origin.  With one
+    column (``n == 1``) the same fill runs down ``s``; the up move wins
+    unless ``pair(s_i, b) == M_i``, so the trace moves up to the
+    largest such ``i*`` (diagonal), or to row 0 and then left.
     """
-    m, n = len(s), len(t)
-    if m == 0:
-        return GAP * n, t.decode("ascii")
-    if n == 0:
-        return s.decode("ascii"), GAP * m
-    gap = scheme.gap
-    pair = scheme.pair
-    D = [[gap * j for j in range(n + 1)]]
-    for i in range(1, m + 1):
-        above, a = D[i - 1], s[i - 1]
-        row = [gap * i]
-        for j in range(1, n + 1):
-            diag = above[j - 1] + pair(a, t[j - 1])
-            row.append(max(diag, above[j] + gap, row[j - 1] + gap))
-        D.append(row)
-    s_out: list[str] = []
-    t_out: list[str] = []
-    i, j = m, n
-    while i or j:
-        if i and j and D[i][j] == D[i - 1][j - 1] + pair(s[i - 1], t[j - 1]):
-            s_out.append(chr(s[i - 1]))
-            t_out.append(chr(t[j - 1]))
-            i, j = i - 1, j - 1
-        elif i and D[i][j] == D[i - 1][j] + gap:
-            s_out.append(chr(s[i - 1]))
-            t_out.append(GAP)
-            i -= 1
-        else:
-            s_out.append(GAP)
-            t_out.append(chr(t[j - 1]))
-            j -= 1
-    return "".join(reversed(s_out)), "".join(reversed(t_out))
+    i0, i1, j0, j1 = leaves.T
+    m, n = i1 - i0, j1 - j0
+    row = m == 1  # one character of s against t[j0:j1]
+    col = (n == 1) & ~row  # s[i0:i1] against one character of t
+    run = np.where(row, n, np.where(col, m, 0))
+    run_ends = np.cumsum(run)
+    run_starts = run_ends - run
+    # Per run element: its leaf and its 0-based position along the run.
+    leaf_of = np.repeat(np.arange(len(leaves)), run)
+    x = np.arange(int(run_ends[-1])) - run_starts[leaf_of]
+    along_t = row[leaf_of]
+    pair = scheme.pair_scores(
+        s_codes[i0[leaf_of] + np.where(along_t, 0, x)],
+        t_codes[j0[leaf_of] + np.where(along_t, x, 0)],
+    ).astype(np.int64)
+    # M: the running max of max(2 * gap, pair), restarted at each run by
+    # a per-run lift wider than the range of its values.
+    floor = 2 * scheme.gap
+    lift = leaf_of * (max(scheme.pair_range()[1], floor) - floor + 1)
+    best = np.maximum.accumulate(np.maximum(pair, floor) + lift) - lift
+    diagonal = pair == best
+    stop = diagonal | (along_t & (best == floor))
+    # The last stop of each run (1-based, 0 for none): a running max of
+    # the stops' positions, read at the run's end.
+    last = np.maximum.accumulate(np.where(stop, np.arange(1, len(stop) + 1), 0))
+    at = np.maximum(np.append(0, last)[run_ends] - run_starts, 0)
+    diag = np.zeros(len(leaves), dtype=bool)
+    hit = at > 0
+    diag[hit] = diagonal[run_starts[hit] + at[hit] - 1]
+    # Moves: a filler run along the leaf, plus one middle move.
+    middle = row | col
+    filler = np.where(row | (m == 0), _LEFT, _UP)
+    lengths = np.where(middle, run + ~diag, np.maximum(m, n))
+    moves = np.repeat(filler, lengths).astype(np.int8)
+    move_starts = np.cumsum(lengths) - lengths
+    middle_at = move_starts + at - diag
+    moves[middle_at[middle]] = np.where(diag, _DIAG, np.where(row, _UP, _LEFT))[middle]
+    # Score: the gaps, plus each diagonal's pair score.
+    gaps = lengths - diag
+    pair_scores = np.zeros(len(leaves), dtype=np.int64)
+    pair_scores[diag] = pair[run_starts[diag] + at[diag] - 1]
+    return moves, lengths, scheme.gap * gaps + pair_scores
 
 
 def hirschberg_align(
@@ -196,42 +229,50 @@ def hirschberg_align_batch(
     t_all = "".join(t for _, t in pairs)
     s_codes = encode(s_all)
     t_codes = encode(t_all)
-    leaves: list[tuple[int, int, int, int, int]] = []
-    level = []
-    i, j = 0, 0
-    for job, (s, t) in enumerate(pairs):
-        level.append((i, i + len(s), j, j + len(t), job))
-        i, j = i + len(s), j + len(t)
-    while level:
-        inner = []
-        for node in level:
-            i0, i1, j0, j1, _ = node
-            if i1 - i0 > 1 and j1 - j0 > 1:
-                inner.append(node)
-            elif i1 > i0 or j1 > j0:
-                leaves.append(node)
-        if not inner:
+    # Nodes are (i0, i1, j0, j1, job) rows: s[i0:i1] vs t[j0:j1] of a pair.
+    s_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
+    t_lens = np.array([len(t) for _, t in pairs], dtype=np.int64)
+    s_ends, t_ends = np.cumsum(s_lens), np.cumsum(t_lens)
+    level = np.stack(
+        [s_ends - s_lens, s_ends, t_ends - t_lens, t_ends, np.arange(len(pairs))], axis=1
+    ).reshape(-1, 5)
+    leaves = [level[:0]]
+    while len(level):
+        m, n = level[:, 1] - level[:, 0], level[:, 3] - level[:, 2]
+        split = (m > 1) & (n > 1)
+        leaves.append(level[~split & ((m > 0) | (n > 0))])
+        inner = level[split]
+        if not len(inner):
             break
-        ks = _level_crossings(
-            s_codes, t_codes, np.array(inner, dtype=np.int64)[:, :4], scheme
-        )
-        level = []
-        for (i0, i1, j0, j1, job), k in zip(inner, ks.tolist()):
-            mid = i0 + (i1 - i0) // 2
-            level += [(i0, mid, j0, j0 + k, job), (mid, i1, j0 + k, j1, job)]
+        mid = inner[:, 0] + (inner[:, 1] - inner[:, 0]) // 2
+        cross = inner[:, 2] + _level_crossings(s_codes, t_codes, inner[:, :4], scheme)
+        top, bottom = inner.copy(), inner.copy()
+        top[:, 1], top[:, 3] = mid, cross
+        bottom[:, 0], bottom[:, 2] = mid, cross
+        level = np.concatenate([top, bottom])
     # A pair's non-empty leaves tile its path from (0, 0) to (m, n), so
-    # their start corners increase along it.
-    leaves.sort(key=lambda leaf: (leaf[4], leaf[0], leaf[2]))
-    s_bytes, t_bytes = s_all.encode("ascii"), t_all.encode("ascii")
-    parts: list[list[tuple[str, str]]] = [[] for _ in pairs]
-    for i0, i1, j0, j1, job in leaves:
-        parts[job].append(_leaf(s_bytes[i0:i1], t_bytes[j0:j1], scheme))
-    alignments = []
-    for job_parts in parts:
-        s_aligned = "".join(p[0] for p in job_parts)
-        t_aligned = "".join(p[1] for p in job_parts)
-        # Score the assembled alignment; Alignment.audit_score is the
-        # single source of truth for scoring a gapped pair.
-        aln = Alignment(s_aligned, t_aligned, score=0)
-        alignments.append(Alignment(s_aligned, t_aligned, score=aln.audit_score(scheme)))
-    return alignments
+    # their start corners increase along it, and the pairs are laid end
+    # to end: in (job, i0, j0) order the leaves walk s_all and t_all.
+    tiles = np.concatenate(leaves)
+    tiles = tiles[np.lexsort((tiles[:, 2], tiles[:, 0], tiles[:, 4]))]
+    if not len(tiles):
+        return [Alignment("", "", score=0) for _ in pairs]
+    moves, lengths, scores = _leaf_columns(s_codes, t_codes, tiles[:, :4], scheme)
+    gap = ord(GAP)
+    s_text = _gapped(s_codes, moves != _LEFT, gap)
+    t_text = _gapped(t_codes, moves != _UP, gap)
+    jobs = tiles[:, 4]
+    job_moves = np.bincount(jobs, weights=lengths, minlength=len(pairs)).astype(np.int64)
+    job_scores = np.bincount(jobs, weights=scores, minlength=len(pairs)).astype(np.int64)
+    ends = np.cumsum(job_moves).tolist()
+    return [
+        Alignment(s_text[lo:hi], t_text[lo:hi], score=score)
+        for lo, hi, score in zip([0] + ends[:-1], ends, job_scores.tolist())
+    ]
+
+
+def _gapped(codes: np.ndarray, take: np.ndarray, gap: int) -> str:
+    """The aligned text of ``codes``: its next character where ``take``, else a gap."""
+    padded = np.append(codes, np.uint8(gap))
+    index = np.where(take, np.cumsum(take) - 1, len(codes))
+    return padded[index].tobytes().decode("ascii")

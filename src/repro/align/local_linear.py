@@ -16,43 +16,42 @@ paper's architecture is designed for:
    ``rev(s[:i_end])``, ``rev(t[:j_end])``; the best hit's coordinates
    map back to the *start* ``(a, b)`` of an optimal local alignment
    ("the similarity array is re-calculated from the highest score
-   position over the reverses of the sequences").  The same systolic
-   array executes this pass unchanged.  Only the last
-   :func:`reverse_window` columns of ``t`` are swept (ALAE-style exact
-   score-bound pruning): the repo tie-break makes ``(i_end, j_end)``
-   the smallest optimal end in ``(i, j)`` order, so every score-``S``
-   cell of the reversed matrix is an alignment ending exactly there,
-   and an alignment of score ``S`` over at most ``i_end`` rows spans at
-   most ``i_end + (i_end * p_max - S) // |gap|`` columns.  The
-   windowed pass therefore returns the same hit as the whole prefix.
-3. **End anchoring** — the reverse pass proves ``(a, b)`` starts *some*
-   optimal alignment, but that alignment's end need not be
-   ``(i_end, j_end)`` when several optima exist.  A linear-space
-   anchored sweep (:func:`~repro.align.needleman_wunsch.nw_cells_argmax`
-   over the suffixes ``s[a:i_end]``, ``t[b:j_end]``) finds the exact
-   end ``(e_i, e_j)`` of the alignment starting at ``(a, b)``.
-4. **Hirschberg retrieval** — with both endpoints known, "this problem
+   position over the reverses of the sequences").  The repo tie-break
+   makes ``(i_end, j_end)`` the smallest optimal end in ``(i, j)``
+   order, so every score-``S`` cell of the reversed local matrix is an
+   alignment ending exactly there: the local sweep's score-``S`` cells
+   are those of the end-anchored sweep
+   (:func:`~repro.align.needleman_wunsch.nw_cells_argmax` over the
+   reversed prefixes), which this pass runs.  The same argument makes
+   ``(i_end, j_end)`` the end of every optimal alignment starting at
+   ``(a, b)``, so the span is ``(a, i_end, b, j_end)`` with no further
+   pass.  Only the last :func:`reverse_window` columns of ``t`` are
+   swept (ALAE-style exact score-bound pruning): an alignment of score
+   ``S`` over at most ``i_end`` rows spans at most ``i_end + (i_end *
+   p_max - S) // |gap|`` columns, so the windowed pass returns the same
+   hit as the whole prefix.  The paper's array runs this pass
+   unchanged: given ``locate=``, the pipeline re-runs that kernel over
+   the reversed pair, and its local hit is the anchored sweep's.
+3. **Hirschberg retrieval** — with both endpoints known, "this problem
    is transformed into a global alignment problem and Hirschberg's
-   algorithm can be used": globally align ``s[a:e_i]`` vs
-   ``t[b:e_j]`` in linear space.
+   algorithm can be used": globally align ``s[a:i_end]`` vs
+   ``t[b:j_end]`` in linear space.
 
-Every step is ``O(m + n)`` memory — phase 4 included, see
+Every step is ``O(m + n)`` memory — phase 3 included, see
 :mod:`repro.align.hirschberg` — and the returned alignment's audited
 score equals the Smith-Waterman optimum (verified by property tests).
 Passing ``end=`` changes no field of the result.
 
-**Batches.**  :func:`local_align_batch` runs phases 2-4 for many
+**Batches.**  :func:`local_align_batch` runs phases 2-3 for many
 ``(s, t, end)`` jobs at once — the search service retrieves every hit
-of a coalesced batch of requests this way.  The reverse pass makes one
-``locate_batch`` call of the kernel backend per distinct reversed
-prefix, over the windows of the jobs that share it (the striped kernel
-sweeps them in one row loop; ``hw-sim`` still runs them on the
-simulated array), so each job's pair is swept exactly once.  The
-anchored pass is one segmented sweep and Hirschberg one level walk
-seeded with every job's root, so their row loops cost interpreter
-dispatch once per batch, not once per job.  Every phase holds
-``O(sum of (m + n))`` memory.  :func:`local_align_linear` is the
-one-job call, so there is a single code path.
+of a coalesced batch of requests this way.  The reverse pass is one
+segmented sweep over every job's reversed prefix and window
+(:func:`~repro.align.needleman_wunsch.nw_cells_argmax_batch`) and
+Hirschberg one level walk seeded with every job's root, so their row
+loops cost interpreter dispatch once per batch, not once per job.
+Every phase holds ``O(sum of (m + n))`` memory.
+:func:`local_align_linear` is the one-job call, so there is a single
+code path.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from .smith_waterman import LocalHit, sw_locate_best
 from .traceback import Alignment
 
 __all__ = [
-    "LocateBatchFn",
     "LocateFn",
     "LocalPipelineResult",
     "locate_span",
@@ -92,29 +90,13 @@ class LocateFn(Protocol):
     ) -> LocalHit: ...
 
 
-class LocateBatchFn(Protocol):
-    """Signature of a batched locate kernel: ``hits[qi][ti]``.
-
-    Every query against every target, each hit what a :class:`LocateFn`
-    returns for the pair —
-    :meth:`repro.kernels.KernelBackend.locate_batch` satisfies this.
-    """
-
-    def __call__(
-        self,
-        queries: Sequence[str],
-        targets: Sequence[str],
-        scheme: LinearScoring | SubstitutionMatrix,
-    ) -> list[list[LocalHit]]: ...
-
-
 @dataclass(frozen=True)
 class LocalPipelineResult:
-    """Everything the four-phase pipeline produced.
+    """Everything the three-phase pipeline produced.
 
-    ``alignment`` carries the final answer; the intermediate hits are
-    kept because they are the quantities the paper's hardware actually
-    emits (and the tests assert about them).
+    ``alignment`` carries the final answer; the forward and reverse
+    hits are kept because they are the quantities the paper's hardware
+    actually emits (and the tests assert about them).
     """
 
     alignment: Alignment
@@ -145,12 +127,12 @@ def locate_span(
     locate: Callable[..., LocalHit] | None = None,
     end: LocalHit | None = None,
 ) -> tuple[LocalHit, LocalHit, tuple[int, int, int, int]]:
-    """Phases 1-3: find the exact span of an optimal local alignment.
+    """Phases 1-2: find the exact span of an optimal local alignment.
 
-    Returns ``(forward_hit, reverse_hit, (a, e_i, b, e_j))`` with the
-    span in 0-based half-open coordinates: the optimal alignment covers
-    ``s[a:e_i]`` and ``t[b:e_j]``.  A zero-score forward hit (no
-    positive-scoring alignment exists) yields the empty span
+    Returns ``(forward_hit, reverse_hit, (a, i_end, b, j_end))`` with
+    the span in 0-based half-open coordinates: the optimal alignment
+    covers ``s[a:i_end]`` and ``t[b:j_end]``.  A zero-score forward hit
+    (no positive-scoring alignment exists) yields the empty span
     ``(0, 0, 0, 0)``.
 
     ``end`` is phase 1's answer when the caller already has it — the
@@ -158,7 +140,7 @@ def locate_span(
     the repo tie-break — and skips the forward pass.
     """
     s, t, forward = _job(s, t, scheme, locate, end)
-    ((reverse, span),) = _locate_spans([(s, t, forward)], scheme, _pairwise(locate))
+    ((reverse, span),) = _locate_spans([(s, t, forward)], scheme, locate)
     return forward, reverse, span
 
 
@@ -180,35 +162,32 @@ def local_align_linear(
     audited score equals ``sw_score(s, t, scheme)``.  This is the
     one-job call of :func:`local_align_batch`.
     """
-    job = _job(s, t, scheme, locate, end)
-    return local_align_batch([job], scheme, _pairwise(locate))[0]
+    return local_align_batch([_job(s, t, scheme, locate, end)], scheme, locate)[0]
 
 
 def local_align_batch(
     jobs: Sequence[tuple[str, str, LocalHit]],
     scheme: LinearScoring | SubstitutionMatrix = DEFAULT_DNA,
-    locate_batch: LocateBatchFn | None = None,
+    locate: Callable[..., LocalHit] | None = None,
 ) -> list[LocalPipelineResult]:
-    """Phases 2-4 of every ``(s, t, end)`` job, each phase run once.
+    """Phases 2-3 of every ``(s, t, end)`` job, each phase run once.
 
     ``end`` is the job's phase-1 ``(score, i, j)``.  Result ``k``
     equals ``local_align_linear(s, t, scheme, end=end)`` field for
-    field, but the reverse passes of jobs with the same reversed prefix
-    share one ``locate_batch`` call, the anchored passes one row loop
+    field, but the reverse passes share one row loop
     (:func:`~repro.align.needleman_wunsch.nw_cells_argmax_batch`) and
-    its Hirschberg retrievals one level walk
+    the Hirschberg retrievals one level walk
     (:func:`~repro.align.hirschberg.hirschberg_align_batch`) — the
     loops' interpreter cost is paid once per batch, not once per job.
 
-    ``locate_batch`` is a kernel backend's
-    :meth:`~repro.kernels.KernelBackend.locate_batch` (every query
-    against every target; it is always given one query); ``None`` runs
-    :func:`~repro.align.smith_waterman.sw_locate_best` on each pair.
+    ``locate`` runs each job's reverse pass instead, one pair at a time
+    — the paper's array (``SWAccelerator(...).locate``) re-run over the
+    reverses; its hits are the sweep's (module docstring).
     """
     jobs = [(s.upper(), t.upper(), end) for s, t, end in jobs]
-    spans = _locate_spans(jobs, scheme, locate_batch or _pairwise(None))
+    spans = _locate_spans(jobs, scheme, locate)
     live = [k for k, (_, _, end) in enumerate(jobs) if end.score > 0]
-    # Phase 4: Hirschberg between the span's two ends.
+    # Phase 3: Hirschberg between the span's two ends.
     inner_pairs = []
     for k in live:
         s, t, _ = jobs[k]
@@ -252,48 +231,29 @@ def _job(
     return s, t, end
 
 
-def _pairwise(locate: Callable[..., LocalHit] | None) -> LocateBatchFn:
-    """A single-pair ``locate`` as a ``locate_batch`` (``None``: software)."""
-    locate = locate or sw_locate_best
-
-    def locate_batch(queries, targets, scheme):
-        return [[locate(q, t, scheme) for t in targets] for q in queries]
-
-    return locate_batch
-
-
 def _locate_spans(
     jobs: list[tuple[str, str, LocalHit]],
     scheme: LinearScoring | SubstitutionMatrix,
-    locate_batch: LocateBatchFn,
+    locate: Callable[..., LocalHit] | None,
 ) -> list[tuple[LocalHit, tuple[int, int, int, int]]]:
-    """Phases 2-3 of upper-cased jobs: ``(reverse_hit, span)`` each.
+    """Phase 2 of upper-cased jobs: ``(reverse_hit, span)`` each.
 
+    One end-anchored sweep over every live job's reversed prefix and
+    reversed :func:`reverse_window` (module docstring: it finds the
+    local reverse pass's hit), or ``locate`` on each of those pairs.
     A zero-score job gets ``(LocalHit(0, 0, 0), (0, 0, 0, 0))``.
     """
     spans = [(LocalHit(0, 0, 0), (0, 0, 0, 0))] * len(jobs)
     live = [k for k, (_, _, end) in enumerate(jobs) if end.score > 0]
-    if not live:
-        return spans
-    # Phase 2: the same kernel over the reversed prefixes, windowed to
-    # the last reverse_window() columns.  The window is exact: (i_end,
-    # j_end) is the smallest optimal end in (i, j) order, so every
-    # score-S cell of the reversed matrix is an alignment ending there,
-    # and no such alignment is wider than the window.  Jobs that share
-    # a reversed prefix (one query's hits, mostly) share one
-    # locate_batch call over their own windows: each job's pair is
-    # swept exactly once.
-    groups: dict[str, list[tuple[int, str]]] = {}
-    for n, k in enumerate(live):
+    reversed_pairs = []
+    for k in live:
         s, t, end = jobs[k]
         window = t[max(0, end.j - reverse_window(end, scheme)) : end.j]
-        groups.setdefault(s[: end.i][::-1], []).append((n, window[::-1]))
-    reverses = [LocalHit(0, 0, 0)] * len(live)
-    for prefix, members in groups.items():
-        (row,) = locate_batch([prefix], [w for _, w in members], scheme)
-        for (n, _), hit in zip(members, row):
-            reverses[n] = hit
-    starts = []
+        reversed_pairs.append((s[: end.i][::-1], window[::-1]))
+    if locate is None:
+        reverses = nw_cells_argmax_batch(reversed_pairs, scheme)
+    else:
+        reverses = [locate(prefix, window, scheme) for prefix, window in reversed_pairs]
     for k, reverse in zip(live, reverses):
         end = jobs[k][2]
         if reverse.score != end.score:
@@ -301,18 +261,5 @@ def _locate_spans(
                 "reverse-pass duality violated: forward score "
                 f"{end.score} != reverse score {reverse.score}"
             )
-        starts.append((end.i - reverse.i, end.j - reverse.j))  # 0-based (a, b)
-    # Phase 3: anchor the end of the alignment that starts at (a, b).
-    suffixes = []
-    for k, (a, b) in zip(live, starts):
-        s, t, end = jobs[k]
-        suffixes.append((s[a : end.i], t[b : end.j]))
-    anchored = nw_cells_argmax_batch(suffixes, scheme)
-    for k, reverse, (a, b), hit in zip(live, reverses, starts, anchored):
-        if hit.score != jobs[k][2].score:
-            raise AssertionError(
-                "anchored sweep lost the optimum: expected "
-                f"{jobs[k][2].score}, got {hit.score}"
-            )
-        spans[k] = (reverse, (a, a + hit.i, b, b + hit.j))
+        spans[k] = (reverse, (end.i - reverse.i, end.i, end.j - reverse.j, end.j))
     return spans

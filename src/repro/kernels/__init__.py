@@ -32,10 +32,8 @@ Built-in backends
     matrix pass per DP row, amortizing interpreter and dispatch
     overhead across the whole batch (SWAPHI's inter-/intra-sequence
     parallelization mapped onto array axes).  The default: shard
-    sweeps are batches, and so are a coalesced batch's retrieval
-    reverse passes (:func:`~repro.align.local_linear.local_align_batch`).
-    Its single-pair ``locate`` is the row sweep, which is faster on one
-    pair.
+    sweeps are batches.  Its single-pair ``locate`` is the row sweep,
+    which is faster on one pair.
 ``hw-sim``
     The simulated FPGA accelerator
     (:class:`~repro.core.accelerator.SWAccelerator`) behind the same

@@ -235,7 +235,6 @@ class SearchEngine:
         self.cache = cache if cache is not None else ResultCache()
         self.statistics = statistics
         self._scheme_token = scheme_token(scheme)
-        self._retrieve_locate_batch = None
         self.requests_served = 0
         self.obs = obs if obs is not None else NULL_OBS
         if self.obs.enabled and pool is not None and not pool.obs.enabled:
@@ -322,13 +321,12 @@ class SearchEngine:
         """Every ``rank < retrieve`` alignment of a batch, in one call.
 
         The sweep's ``(score, i, j)`` of each hit is phase 1 of its
-        retrieval; the host's reverse, anchored and Hirschberg passes
-        run here, each once for the whole batch
-        (:func:`~repro.align.local_linear.local_align_batch`), on the
-        engine kernel's ``locate_batch``.  Returns each query's
-        alignments by rank and its share of the retrieval wall time,
-        split by alignment-span cells as the sweep's time is split by
-        swept cells.
+        retrieval; the host's reverse pass and Hirschberg walk run
+        here, each once for the whole batch
+        (:func:`~repro.align.local_linear.local_align_batch`).  Returns
+        each query's alignments by rank and its share of the retrieval
+        wall time, split by alignment-span cells as the sweep's time is
+        split by swept cells.
         """
         jobs: list[tuple[str, str, LocalHit]] = []
         owners: list[int] = []
@@ -339,11 +337,9 @@ class SearchEngine:
         alignments: list[list] = [[] for _ in queries]
         if not jobs:
             return alignments, [0.0] * len(queries)
-        if self._retrieve_locate_batch is None:
-            self._retrieve_locate_batch = self.spec.make_backend(self.scheme).locate_batch
         with self.obs.tracer.span("local_linear", hits=len(jobs)) as traced:
             t0 = time.perf_counter()
-            results = local_align_batch(jobs, self.scheme, self._retrieve_locate_batch)
+            results = local_align_batch(jobs, self.scheme)
             wall = time.perf_counter() - t0
             cells = [(e_i - a) * (e_j - b) for a, e_i, b, e_j in (r.span for r in results)]
             traced.attrs["cells"] = sum(cells)

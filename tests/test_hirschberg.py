@@ -2,10 +2,12 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.align.hirschberg import (
+    _leaf_columns,
     hirschberg_align,
     hirschberg_align_batch,
     hirschberg_crossing,
@@ -19,6 +21,7 @@ from repro.align.scoring import (
     decode,
     encode,
 )
+from repro.align.traceback import GAP, Alignment
 
 from conftest import dna_pair, linear_schemes
 
@@ -42,6 +45,82 @@ def recursive_hirschberg(s, t, scheme):
 
     solve(encode(s), encode(t))
     return "".join(parts_s), "".join(parts_t)
+
+
+def dp_leaf(s, t, scheme):
+    """A leaf's ``nw_align`` fill and diagonal > up > left traceback.
+
+    The per-leaf Python DP the closed-form leaves replaced: their oracle.
+    """
+    m, n = len(s), len(t)
+    if m == 0:
+        return GAP * n, t
+    if n == 0:
+        return s, GAP * m
+    gap = scheme.gap
+    pair = scheme.pair
+    D = [[gap * j for j in range(n + 1)]]
+    for i in range(1, m + 1):
+        above, a = D[i - 1], s[i - 1]
+        row = [gap * i]
+        for j in range(1, n + 1):
+            diag = above[j - 1] + pair(a, t[j - 1])
+            row.append(max(diag, above[j] + gap, row[j - 1] + gap))
+        D.append(row)
+    s_out, t_out = [], []
+    i, j = m, n
+    while i or j:
+        if i and j and D[i][j] == D[i - 1][j - 1] + pair(s[i - 1], t[j - 1]):
+            s_out.append(s[i - 1])
+            t_out.append(t[j - 1])
+            i, j = i - 1, j - 1
+        elif i and D[i][j] == D[i - 1][j] + gap:
+            s_out.append(s[i - 1])
+            t_out.append(GAP)
+            i -= 1
+        else:
+            s_out.append(GAP)
+            t_out.append(t[j - 1])
+            j -= 1
+    return "".join(reversed(s_out)), "".join(reversed(t_out))
+
+
+@st.composite
+def leaf_batch(draw, alphabet):
+    """1-12 leaves (``m <= 1`` or ``n <= 1``, not both empty), any order."""
+    leaves = []
+    for _ in range(draw(st.integers(1, 12))):
+        short = draw(st.integers(0, 1))
+        long = draw(st.integers(1 - short, 12))
+        if draw(st.booleans()):
+            short, long = long, short
+        s = draw(st.text(alphabet=alphabet, min_size=short, max_size=short))
+        t = draw(st.text(alphabet=alphabet, min_size=long, max_size=long))
+        leaves.append((s, t))
+    return leaves
+
+
+def assert_leaves_match_dp(leaves, scheme):
+    """``_leaf_columns`` over leaves laid end to end equals ``dp_leaf`` on each."""
+    tiles, i, j = [], 0, 0
+    for s, t in leaves:
+        tiles.append((i, i + len(s), j, j + len(t)))
+        i, j = i + len(s), j + len(t)
+    s_all, t_all = "".join(s for s, _ in leaves), "".join(t for _, t in leaves)
+    moves, lengths, scores = _leaf_columns(
+        encode(s_all), encode(t_all), np.array(tiles, dtype=np.int64), scheme
+    )
+    assert lengths.sum() == len(moves)
+    s_rest, t_rest, at = iter(s_all), iter(t_all), 0
+    for (s, t), length, score in zip(leaves, lengths.tolist(), scores.tolist()):
+        s_out, t_out = [], []
+        for move in moves[at : at + length].tolist():
+            s_out.append(next(s_rest) if move != 2 else GAP)
+            t_out.append(next(t_rest) if move != 1 else GAP)
+        at += length
+        expected = dp_leaf(s, t, scheme)
+        assert ("".join(s_out), "".join(t_out)) == expected
+        assert score == Alignment(*expected, score=0).audit_score(scheme)
 
 
 @st.composite
@@ -138,6 +217,37 @@ class TestMatchesRecursion:
         aln.validate(s, t)
         # A 200 x 20,000 score matrix alone is 32 MB of int64.
         assert peak <= 10 * 2**20
+
+
+class TestClosedFormLeaves:
+    """Every leaf of the walk in closed form equals its per-leaf DP."""
+
+    @given(leaf_batch("ACGT"), linear_schemes())
+    def test_dna(self, leaves, scheme):
+        assert_leaves_match_dp(leaves, scheme)
+
+    @given(
+        leaf_batch("AB"),
+        st.sampled_from(
+            # Mismatch equal to, below and above two gaps.
+            [LinearScoring(1, -2, -1), LinearScoring(1, -5, -1), LinearScoring(1, 0, -1)]
+        ),
+    )
+    def test_two_letter_alphabet_ties(self, leaves, scheme):
+        assert_leaves_match_dp(leaves, scheme)
+
+    @given(leaf_batch("A"), linear_schemes())
+    def test_one_letter_alphabet(self, leaves, scheme):
+        assert_leaves_match_dp(leaves, scheme)
+
+    @given(leaf_batch(PROTEIN_ALPHABET), st.sampled_from([-1, -2, -4, -8]))
+    def test_blosum62(self, leaves, gap):
+        assert_leaves_match_dp(leaves, blosum62(gap))
+
+    def test_gap_only_and_single_cell_leaves(self):
+        leaves = [("", "ACG"), ("ACG", ""), ("A", ""), ("", "A"), ("A", "C"), ("A", "A")]
+        assert_leaves_match_dp(leaves, DEFAULT_DNA)
+        assert_leaves_match_dp(leaves, LinearScoring(1, -5, -1))
 
 
 class TestMultiRootWalk:

@@ -9,26 +9,53 @@ from repro.align.local_linear import (
     locate_span,
     reverse_window,
 )
+from repro.align.needleman_wunsch import nw_cells_argmax
 from repro.align.scoring import DEFAULT_DNA, PROTEIN_ALPHABET, blosum62
 from repro.align.smith_waterman import LocalHit, sw_align, sw_locate_best, sw_score
 from repro.core.accelerator import SWAccelerator
 from repro.io.generate import adversarial_pairs, planted_pair
-from repro.kernels import available_backends, get_backend
+from repro.kernels import HwSimBackend
 
 from conftest import dna_pair, linear_schemes, related_pair
+
+
+def three_phase_spans(jobs, scheme):
+    """The three-phase span search: the oracle for the two-pass pipeline.
+
+    Phase 2 is a *local* reverse sweep over the reversed prefix and
+    window; phase 3 anchors the end of the alignment starting at the
+    reverse hit's ``(a, b)`` with a forward end-anchored sweep over
+    ``s[a:i_end]``, ``t[b:j_end]``.  Returns ``(reverse_hit, span)``
+    per upper-cased ``(s, t, end)`` job.
+    """
+    spans = []
+    for s, t, end in jobs:
+        if end.score <= 0:
+            spans.append((LocalHit(0, 0, 0), (0, 0, 0, 0)))
+            continue
+        window = t[max(0, end.j - reverse_window(end, scheme)) : end.j]
+        reverse = sw_locate_best(s[: end.i][::-1], window[::-1], scheme)
+        assert reverse.score == end.score
+        a, b = end.i - reverse.i, end.j - reverse.j
+        anchored = nw_cells_argmax(s[a : end.i], t[b : end.j], scheme)
+        assert anchored.score == end.score
+        spans.append((reverse, (a, a + anchored.i, b, b + anchored.j)))
+    return spans
 
 
 @st.composite
 def retrieval_batch(draw):
     """A scheme and 1-8 ``(s, t, end)`` jobs with their sweep's ``end``.
 
-    Queries repeat across jobs; a target holds a noisy copy of a random
-    slice of its query (so one query's jobs end at differing ``i``), an
-    unrelated string, or nothing; sequences may be 0 or 1 long, so
-    zero-score hits appear.
+    DNA schemes run over 4-, 2- and 1-letter alphabets (the small ones
+    tie heavily), BLOSUM62 over the amino acids.  Queries repeat across
+    jobs; a target holds a noisy copy of a random slice of its query
+    (so one query's jobs end at differing ``i``), an unrelated string,
+    or nothing; sequences may be 0 or 1 long, so zero-score hits appear.
     """
     if draw(st.booleans()):
-        scheme, alphabet = draw(linear_schemes()), "ACGT"
+        scheme = draw(linear_schemes())
+        alphabet = draw(st.sampled_from(["ACGT", "ACGT", "AC", "A"]))
     else:
         scheme, alphabet = blosum62(draw(st.sampled_from([-4, -8]))), PROTEIN_ALPHABET
     text = lambda lo, hi: st.text(alphabet=alphabet, min_size=lo, max_size=hi)
@@ -178,26 +205,52 @@ class TestAcceleratorIntegration:
             acc.locate("ACG", "ACG", other)
 
 
+class TestReversePass:
+    """The reverse pass is one end-anchored sweep; phase 3 is gone."""
+
+    @given(retrieval_batch())
+    def test_span_ends_at_end_and_matches_three_phases(self, batch):
+        scheme, jobs = batch
+        jobs = [(s.upper(), t.upper(), end) for s, t, end in jobs]
+        results = local_align_batch(jobs, scheme)
+        for (_, _, end), result, oracle in zip(jobs, results, three_phase_spans(jobs, scheme)):
+            if end.score > 0:
+                assert (result.span[1], result.span[3]) == (end.i, end.j)
+            assert (result.reverse_hit, result.span) == oracle
+
+    @given(related_pair(2, 16), linear_schemes())
+    def test_array_runs_the_reverse_pass_unchanged(self, pair, scheme):
+        """Section 2.3: the same array executes the reverse pass.
+
+        On the reversed prefix and window, the simulated array's local
+        hit is the end-anchored sweep's — the pass the pipeline runs.
+        """
+        s, t = pair
+        end = sw_locate_best(s, t, scheme)
+        if end.score <= 0:
+            return
+        window = t[max(0, end.j - reverse_window(end, scheme)) : end.j]
+        prefix, window = s[: end.i][::-1], window[::-1]
+        assert HwSimBackend(elements=5).locate(prefix, window, scheme) == nw_cells_argmax(
+            prefix, window, scheme
+        )
+
+
 class TestBatch:
     """``local_align_batch`` is per-job ``local_align_linear``, field for field."""
 
-    @given(retrieval_batch(), st.sampled_from((None,) + available_backends()))
-    def test_batch_equals_per_job(self, batch, backend):
+    @given(retrieval_batch())
+    def test_batch_equals_per_job(self, batch):
         scheme, jobs = batch
-        locate_batch = None if backend is None else get_backend(backend).locate_batch
-        results = local_align_batch(jobs, scheme, locate_batch)
+        results = local_align_batch(jobs, scheme)
         assert len(results) == len(jobs)
         for (s, t, end), result in zip(jobs, results):
             single = local_align_linear(s, t, scheme, end=end)
-            assert result.span == single.span
-            assert result.reverse_hit == single.reverse_hit
-            assert result.forward_hit == single.forward_hit == end
-            assert result.alignment.s_aligned == single.alignment.s_aligned
-            assert result.alignment.t_aligned == single.alignment.t_aligned
+            assert result.forward_hit == end
             assert result == single
 
     def test_served_shape_batch(self):
-        """Two 96 bp queries x three planted copies, on the striped kernel."""
+        """Two 96 bp queries x three planted copies in 1 kbp records."""
         from repro.io.generate import mutate, random_dna
 
         jobs = []
@@ -207,26 +260,8 @@ class TestBatch:
                 copy = mutate(query, rate=0.08, seed=1000 + 10 * q + c)
                 record = random_dna(1000, seed=2000 + 10 * q + c) + copy
                 jobs.append((query, record, sw_locate_best(query, record)))
-        results = local_align_batch(jobs, DEFAULT_DNA, get_backend("numpy-striped").locate_batch)
+        results = local_align_batch(jobs, DEFAULT_DNA)
         assert results == [local_align_linear(s, t, end=end) for s, t, end in jobs]
-
-    @given(retrieval_batch())
-    def test_reverse_pass_sweeps_one_pair_per_job(self, batch):
-        """One ``locate_batch`` call per distinct reversed prefix, one
-        target per live job: no pair beyond the jobs' own is swept."""
-        scheme, jobs = batch
-        calls = []
-
-        def counting(queries, targets, scheme):
-            calls.append((list(queries), list(targets)))
-            return get_backend("reference").locate_batch(queries, targets, scheme)
-
-        local_align_batch(jobs, scheme, counting)
-        live = [(s.upper(), end) for s, _, end in jobs if end.score > 0]
-        assert all(len(queries) == 1 for queries, _ in calls)
-        assert sum(len(targets) for _, targets in calls) == len(live)
-        prefixes = [queries[0] for queries, _ in calls]
-        assert sorted(prefixes) == sorted({s[: end.i][::-1] for s, end in live})
 
     def test_empty_batch(self):
         assert local_align_batch([]) == []
