@@ -16,9 +16,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.core.accelerator import SWAccelerator
 from repro.io.fasta import FastaRecord, read_fasta, write_fasta
 from repro.io.generate import mutate, random_dna
+from repro.kernels import HwSimBackend
 from repro.scan import scan_database
 
 
@@ -49,9 +49,8 @@ def main() -> None:
         print(f"database: {db_path.name}, {len(records)} records of ~{record_bp} bp")
         print(f"query   : {len(query)} bp\n")
 
-        accelerator = SWAccelerator(elements=100)
         report = scan_database(
-            query, records, locate=accelerator.locate, top=5, retrieve=2
+            query, records, kernel=HwSimBackend(elements=100), top=5, retrieve=2
         )
         print(report.render())
         for hit in report.hits:

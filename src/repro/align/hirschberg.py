@@ -224,6 +224,22 @@ def hirschberg_align_batch(
     A node's crossing depends only on its own sub-problem, so every
     alignment equals ``hirschberg_align(s, t, scheme)``.
     """
+    return [
+        Alignment(s_aligned, t_aligned, score=score)
+        for s_aligned, t_aligned, score in _hirschberg_texts(pairs, scheme)
+    ]
+
+
+def _hirschberg_texts(
+    pairs: Sequence[tuple[str, str]],
+    scheme: LinearScoring | SubstitutionMatrix,
+) -> list[tuple[str, str, int]]:
+    """:func:`hirschberg_align_batch` as ``(s_aligned, t_aligned, score)`` rows.
+
+    For callers that build each :class:`Alignment` themselves, with
+    fields the walk does not know (a local alignment's start
+    coordinates), so that every one is constructed once.
+    """
     pairs = [(s.upper(), t.upper()) for s, t in pairs]
     s_all = "".join(s for s, _ in pairs)
     t_all = "".join(t for _, t in pairs)
@@ -256,7 +272,7 @@ def hirschberg_align_batch(
     tiles = np.concatenate(leaves)
     tiles = tiles[np.lexsort((tiles[:, 2], tiles[:, 0], tiles[:, 4]))]
     if not len(tiles):
-        return [Alignment("", "", score=0) for _ in pairs]
+        return [("", "", 0) for _ in pairs]
     moves, lengths, scores = _leaf_columns(s_codes, t_codes, tiles[:, :4], scheme)
     gap = ord(GAP)
     s_text = _gapped(s_codes, moves != _LEFT, gap)
@@ -266,7 +282,7 @@ def hirschberg_align_batch(
     job_scores = np.bincount(jobs, weights=scores, minlength=len(pairs)).astype(np.int64)
     ends = np.cumsum(job_moves).tolist()
     return [
-        Alignment(s_text[lo:hi], t_text[lo:hi], score=score)
+        (s_text[lo:hi], t_text[lo:hi], score)
         for lo, hi, score in zip([0] + ends[:-1], ends, job_scores.tolist())
     ]
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .hirschberg import hirschberg_align_batch
+from .hirschberg import _hirschberg_texts
 from .needleman_wunsch import nw_cells_argmax_batch
 from .scoring import DEFAULT_DNA, LinearScoring, SubstitutionMatrix
 from .smith_waterman import LocalHit, sw_locate_best
@@ -193,26 +193,24 @@ def local_align_batch(
         s, t, _ = jobs[k]
         a, e_i, b, e_j = spans[k][1]
         inner_pairs.append((s[a:e_i], t[b:e_j]))
-    inner = hirschberg_align_batch(inner_pairs, scheme)
-    results = [
-        LocalPipelineResult(Alignment("", "", score=0), end, reverse, span)
-        for (_, _, end), (reverse, span) in zip(jobs, spans)
-    ]
-    for k, aln in zip(live, inner):
-        end, (reverse, span) = jobs[k][2], spans[k]
-        if aln.score != end.score:
+    texts = dict(zip(live, _hirschberg_texts(inner_pairs, scheme)))
+    results = []
+    for k, ((_, _, end), (reverse, span)) in enumerate(zip(jobs, spans)):
+        # A zero-score job has the empty span and the empty alignment.
+        s_aligned, t_aligned, score = texts.get(k, ("", "", 0))
+        if score != end.score:
             raise AssertionError(
                 "Hirschberg retrieval score mismatch: expected "
-                f"{end.score}, got {aln.score}"
+                f"{end.score}, got {score}"
             )
         aligned = Alignment(
-            s_aligned=aln.s_aligned,
-            t_aligned=aln.t_aligned,
-            score=aln.score,
+            s_aligned=s_aligned,
+            t_aligned=t_aligned,
+            score=score,
             s_start=span[0],
             t_start=span[2],
         )
-        results[k] = LocalPipelineResult(aligned, end, reverse, span)
+        results.append(LocalPipelineResult(aligned, end, reverse, span))
     return results
 
 

@@ -9,11 +9,10 @@ Commands mirror the repository's main workflows:
                route it through the service-layer engine).
 ``index``    — pre-encode a FASTA database into a persistent sharded
                index file for ``serve``/``batch``.
-``serve``    — run the search-service request loop (line protocol on
-               stdin/stdout, or the networked TCP front-end with
-               ``--tcp HOST:PORT``) over a database or saved index,
-               with structured logging (``--log-level``/``--log-json``)
-               and periodic metric dumps (``--metrics-file``).
+``serve``    — serve a database or saved index over the TCP wire
+               protocol (``--tcp HOST:PORT``), with structured logging
+               (``--log-level``/``--log-json``) and periodic metric
+               dumps (``--metrics-file``).
 ``query``    — query a running ``serve --tcp`` server over the wire
                protocol and print the ranked hit table.
 ``stats``    — render a metrics snapshot written by
@@ -46,12 +45,13 @@ import sys
 from pathlib import Path
 
 from .align.local_linear import local_align_linear
-from .align.scoring import LinearScoring
+from .align.scoring import DEFAULT_DNA, LinearScoring
 from .analysis import figures as fig_mod
 from .core.accelerator import SWAccelerator
 from .core.resources import PROTOTYPE_MODEL
 from .core.verification import random_vector_campaign
 from .io.fasta import read_fasta
+from .kernels import available_backends
 from .scan import scan_database
 
 __all__ = ["main", "build_parser"]
@@ -76,13 +76,6 @@ def _load_index(path: Path, obs=None):
     return DatabaseIndex.from_fasta(path)
 
 
-def _kernel_choices() -> tuple[str, ...]:
-    """``--kernel`` values: the legacy aliases plus every registered backend."""
-    from .kernels import available_backends
-
-    return ("software", "accelerator") + available_backends()
-
-
 def _build_engine(args, obs=None):
     """Engine shared by the ``serve``/``batch`` commands.
 
@@ -98,9 +91,6 @@ def _build_engine(args, obs=None):
     """
     from .service import IndexManager, ResultCache, SearchEngine, WorkerSpec
 
-    # ``--kernel`` accepts any repro.kernels registry name plus the
-    # legacy "software"/"accelerator" aliases; WorkerSpec understands
-    # them all.
     spec = WorkerSpec(args.kernel, elements=args.elements)
     pool = None
     retries = getattr(args, "retries", None)
@@ -185,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scan.add_argument(
         "--kernel",
-        choices=_kernel_choices(),
-        default="accelerator",
-        help="locate-kernel backend (default: accelerator = the simulated array)",
+        choices=available_backends(),
+        default="hw-sim",
+        help="locate-kernel backend (default: hw-sim, the simulated array)",
     )
 
     p_index = sub.add_parser("index", help="build a persistent sharded database index")
@@ -208,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_serve = sub.add_parser("serve", help="search-service request loop (stdin/stdout)")
+    p_serve = sub.add_parser("serve", help="serve a database over the TCP wire protocol")
     p_serve.add_argument("database", type=Path, help="FASTA file or saved index (.idx/.npz)")
     p_serve.add_argument("--workers", type=int, default=1)
     p_serve.add_argument("--top", type=int, default=10)
@@ -217,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-cache", action="store_true")
     p_serve.add_argument(
         "--kernel",
-        choices=_kernel_choices(),
-        default="software",
-        help="locate-kernel backend workers sweep with (default: software = "
-        "process default, see REPRO_KERNEL)",
+        choices=available_backends(),
+        default=None,
+        help="locate-kernel backend workers sweep with (default: "
+        "REPRO_KERNEL, else numpy-striped)",
     )
     p_serve.add_argument("--elements", type=int, default=100)
     p_serve.add_argument(
@@ -262,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--tcp",
         metavar="HOST:PORT",
-        default=None,
-        help="serve the wire protocol on this TCP address instead of stdin/stdout",
+        required=True,
+        help="serve the wire protocol on this TCP address (port 0 picks a free one)",
     )
     p_serve.add_argument(
         "--batch-window",
@@ -291,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "hot-reload the index from disk on this signal "
-            "(TCP mode; e.g. --reload-signal hup, then kill -HUP <pid>)"
+            "(e.g. --reload-signal hup, then kill -HUP <pid>)"
         ),
     )
     p_serve.add_argument(
@@ -299,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help=(
-            "enable WAL-backed streaming ingest (TCP mode): journal, "
+            "enable WAL-backed streaming ingest: journal, "
             "seal and compact live records in this directory; recovery "
             "replays it on startup"
         ),
@@ -328,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument(
         "--kernel",
+        choices=available_backends(),
         default=None,
-        help="kernel backend the server must sweep with (protocol v2; "
-        "validated server-side, unknown names are bad-request)",
+        help="kernel backend the server must sweep with (protocol v2)",
     )
     p_query.add_argument(
         "--metrics", action="store_true", help="print per-request service metrics"
@@ -374,9 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--no-cache", action="store_true")
     p_batch.add_argument(
         "--kernel",
-        choices=_kernel_choices(),
-        default="software",
-        help="locate-kernel backend workers sweep with",
+        choices=available_backends(),
+        default=None,
+        help="locate-kernel backend workers sweep with (default: "
+        "REPRO_KERNEL, else numpy-striped)",
     )
     p_batch.add_argument("--elements", type=int, default=100)
     p_batch.add_argument(
@@ -406,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     c_serve.add_argument("--workers", type=int, default=1, help="sweep workers per node")
     c_serve.add_argument(
         "--kernel",
-        choices=_kernel_choices(),
-        default="software",
-        help="locate-kernel backend every node sweeps with",
+        choices=available_backends(),
+        default=None,
+        help="locate-kernel backend every node sweeps with (default: "
+        "REPRO_KERNEL, else numpy-striped)",
     )
     c_serve.add_argument(
         "--batch-window", type=float, default=0.002, help="per-node micro-batch window"
@@ -444,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c_query.add_argument(
         "--kernel",
+        choices=available_backends(),
         default=None,
-        help="kernel backend every node must sweep with (validated node-side)",
+        help="kernel backend every node must sweep with",
     )
     c_query.add_argument(
         "--metrics", action="store_true", help="print merged per-request metrics"
@@ -857,34 +850,28 @@ def main(argv: list[str] | None = None) -> int:
             from .analysis.stats import calibrate
 
             statistics = calibrate(trials=40, seed=0)
-        if args.workers is None and not args.no_cache:
-            # Legacy one-shot path: parse + sweep inline, byte-for-byte
-            # the pre-service output.
-            records = read_fasta(args.database)
-            from .kernels import HwSimBackend, get_backend
+        from .service import WorkerSpec
 
-            if args.kernel == "accelerator":
-                kernel = HwSimBackend(elements=args.elements)
-            elif args.kernel == "software":
-                kernel = get_backend(None)
-            else:
-                kernel = get_backend(args.kernel)
+        spec = WorkerSpec(args.kernel, elements=args.elements)
+        if args.workers is None and not args.no_cache:
+            # One-shot path: parse + sweep inline.
+            records = read_fasta(args.database)
             report = scan_database(
                 args.query,
                 records,
-                kernel=kernel,
+                kernel=spec.make_backend(DEFAULT_DNA),
                 top=args.top,
                 min_score=args.min_score,
                 retrieve=args.retrieve,
                 statistics=statistics,
             )
         else:
-            from .service import QueryOptions, ResultCache, SearchEngine, WorkerSpec
+            from .service import QueryOptions, ResultCache, SearchEngine
 
             engine = SearchEngine(
                 _load_index(args.database),
                 workers=1 if args.workers is None else args.workers,
-                spec=WorkerSpec(args.kernel, elements=args.elements),
+                spec=spec,
                 cache=ResultCache(0) if args.no_cache else None,
                 statistics=statistics,
             )
@@ -936,16 +923,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         from .obs import Observability, PeriodicDumper, configure_logging
-        from .service import QueryOptions, SearchServer
+        from .service import QueryOptions
+        from .service.net import ServerConfig, TcpSearchServer
 
         if args.log_level is not None or args.log_json:
             configure_logging(args.log_level or "info", json_lines=args.log_json)
         obs = Observability.create()
-        dumper = (
-            PeriodicDumper(obs.registry, args.metrics_file, args.metrics_interval)
-            if args.metrics_file is not None
-            else None
-        )
         defaults = QueryOptions(
             top=args.top, min_score=args.min_score, retrieve=args.retrieve
         )
@@ -963,55 +946,47 @@ def main(argv: list[str] | None = None) -> int:
                 obs=obs,
             )
             engine.attach_ingest(ingest_service)
-        if args.tcp is not None:
-            from .service.net import ServerConfig, TcpSearchServer
+        host, _, port = args.tcp.rpartition(":")
+        config = ServerConfig(
+            host=host or "127.0.0.1",
+            port=int(port),
+            batch_window=args.batch_window,
+            max_inflight=args.max_inflight,
+            adaptive=not args.static_inflight,
+        )
+        server = TcpSearchServer(engine, config=config, defaults=defaults, obs=obs)
 
-            host, _, port = args.tcp.rpartition(":")
-            config = ServerConfig(
-                host=host or "127.0.0.1",
-                port=int(port),
-                batch_window=args.batch_window,
-                max_inflight=args.max_inflight,
-                adaptive=not args.static_inflight,
-            )
-            server = TcpSearchServer(engine, config=config, defaults=defaults, obs=obs)
+        def _announce(srv):
+            print(f"listening on {srv.host}:{srv.port}", flush=True)
 
-            def _announce(srv):
-                print(f"listening on {srv.host}:{srv.port}", flush=True)
+        reload_signal = None
+        if args.reload_signal is not None:
+            import signal as signal_mod
 
-            reload_signal = None
-            if args.reload_signal is not None:
-                import signal as signal_mod
+            reload_signal = getattr(signal_mod, f"SIG{args.reload_signal.upper()}")
+        dumper = dump_stop = None
+        if args.metrics_file is not None:
+            # run_blocking owns the thread until shutdown, so the
+            # dumper ticks on a daemon thread; one final dump after
+            # drain leaves a coherent last snapshot.
+            import threading as threading_mod
 
-                reload_signal = getattr(
-                    signal_mod, f"SIG{args.reload_signal.upper()}"
-                )
-            dump_stop = None
-            if dumper is not None:
-                # run_blocking owns the thread until shutdown, so the
-                # dumper ticks on a daemon thread; one final dump after
-                # drain leaves a coherent last snapshot.
-                import threading as threading_mod
+            dumper = PeriodicDumper(obs.registry, args.metrics_file, args.metrics_interval)
+            dump_stop = threading_mod.Event()
+            tick = max(0.05, min(args.metrics_interval, 1.0))
 
-                dump_stop = threading_mod.Event()
-                tick = max(0.05, min(args.metrics_interval, 1.0))
+            def _dump_loop():
+                while not dump_stop.wait(timeout=tick):
+                    dumper.maybe_dump()
 
-                def _dump_loop():
-                    while not dump_stop.wait(timeout=tick):
-                        dumper.maybe_dump()
-
-                threading_mod.Thread(target=_dump_loop, daemon=True).start()
-            try:
-                server.run_blocking(ready=_announce, reload_signal=reload_signal)
-            finally:
-                if dump_stop is not None:
-                    dump_stop.set()
-                    dumper.dump()
-            print(f"served {server.served} requests")
-            return 0
-        server = SearchServer(engine, defaults, dumper=dumper)
-        served = server.serve(sys.stdin, sys.stdout)
-        print(f"served {served} requests")
+            threading_mod.Thread(target=_dump_loop, daemon=True).start()
+        try:
+            server.run_blocking(ready=_announce, reload_signal=reload_signal)
+        finally:
+            if dump_stop is not None:
+                dump_stop.set()
+                dumper.dump()
+        print(f"served {server.served} requests")
         return 0
 
     if args.command == "query":

@@ -17,9 +17,8 @@ SSEARCH-style tool:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .align.local_linear import local_align_linear
 from .align.scoring import DEFAULT_DNA, LinearScoring, SubstitutionMatrix
@@ -126,7 +125,6 @@ def scan_database(
     query: str,
     records: Iterable[FastaRecord] | Iterable[tuple[str, str]] | Sequence[str],
     scheme: LinearScoring | SubstitutionMatrix = DEFAULT_DNA,
-    locate: Callable[..., LocalHit] | None = None,
     top: int = 10,
     min_score: int = 1,
     retrieve: int = 3,
@@ -150,10 +148,6 @@ def scan_database(
         record whatever ``REPRO_KERNEL`` says: that path shares no code
         with the batched kernels, which makes it the oracle the service
         is checked against.  Every backend ranks bit-identically.
-    locate:
-        **Deprecated** — a raw locate callable, the pre-registry way
-        to select the kernel.  Still honoured (with a
-        :class:`DeprecationWarning`); pass ``kernel=`` instead.
     top:
         Keep this many best records in the report.
     min_score:
@@ -170,23 +164,13 @@ def scan_database(
         raise ValueError(f"top must be positive, got {top}")
     if retrieve < 0:
         raise ValueError(f"retrieve cannot be negative, got {retrieve}")
-    if locate is not None and kernel is not None:
-        raise TypeError("pass kernel= or the deprecated locate=, not both")
-    if locate is not None:
-        warnings.warn(
-            "locate= is deprecated; pass kernel=\"<backend-name>\" "
-            "(or a repro.kernels.KernelBackend) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     backend = None
+    locate = sw_locate_best
     if kernel is not None:
         from .kernels import KernelBackend, get_backend
 
         backend = kernel if isinstance(kernel, KernelBackend) else get_backend(kernel)
         locate = backend.locate
-    elif locate is None:
-        locate = sw_locate_best
     query = query.upper()
     report = ScanReport(query_length=len(query), min_score=min_score)
     start = time.perf_counter()

@@ -21,17 +21,14 @@ coordinates returned per record.  This package turns the one-shot
   batched queries over one index pass, scan-equivalent semantics,
   per-request metrics, graceful degradation with explicit
   ``coverage``/``degraded_shards`` on every response;
-* :mod:`~repro.service.server` — a minimal stdlib request loop
-  (line protocol and queue-in / report-out) behind ``repro serve``,
-  reporting failures as structured ``error <code> <message>`` lines;
 * :mod:`~repro.service.protocol` — the versioned, length-prefixed
   JSON frame protocol shared byte-for-byte by the TCP server and the
-  client SDK (and, for option parsing and error formatting, by the
-  legacy line protocol);
+  client SDK, with the error taxonomy's ``error <code> <message>``
+  line format;
 * :mod:`~repro.service.net` — the asyncio TCP front-end behind
-  ``repro serve --tcp``: concurrent connections, per-connection
-  pipelining, bounded backpressure, cross-request micro-batching and
-  graceful drain;
+  ``repro serve --tcp``, the service's one front-end: concurrent
+  connections, per-connection pipelining, bounded backpressure,
+  cross-request micro-batching and graceful drain;
 * :mod:`~repro.service.client` — :class:`SearchClient` /
   :class:`AsyncSearchClient`, the SDK side of the wire protocol with
   connection pooling and :class:`RetryPolicy`-driven retries;
@@ -66,14 +63,13 @@ Stable public surface
 ``__all__`` below is the *supported* API — :class:`SearchEngine`,
 :class:`SearchClient`, :class:`QueryOptions`, :class:`DatabaseIndex`,
 :class:`ResultCache` and the error taxonomy.  Everything else exported
-by the submodules (worker pools, the line-protocol server, fault
-injection) remains importable but is internal plumbing and free to
-evolve between versions.
+by the submodules (worker pools, the TCP server, fault injection)
+remains importable but is internal plumbing and free to evolve
+between versions.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from dataclasses import replace as _dc_replace
 from typing import TYPE_CHECKING
@@ -86,11 +82,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class QueryOptions:
     """Everything a caller may tune about one search request.
 
-    One dataclass carried end-to-end — :class:`SearchEngine`,
-    :class:`~repro.service.server.QueryRequest`, the line protocol,
-    the TCP wire format and :class:`SearchClient` all speak it —
-    replacing the three hand-copied ``top``/``min_score``/``retrieve``
-    parameter lists the service layer used to maintain.
+    One dataclass carried end-to-end — :class:`SearchEngine`, the TCP
+    wire format and :class:`SearchClient` all speak it.
 
     ``statistics`` (calibrated Karlin-Altschul statistics) overrides
     the engine's default for this request; it never crosses the wire —
@@ -149,57 +142,17 @@ class QueryOptions:
 
 
 def resolve_query_options(
-    options: "QueryOptions | int | None" = None,
+    options: "QueryOptions | None" = None,
     defaults: "QueryOptions | None" = None,
-    *,
-    top: int | None = None,
-    min_score: int | None = None,
-    retrieve: int | None = None,
-    statistics: "ScoreStatistics | None" = None,
-    _stacklevel: int = 3,
 ) -> "QueryOptions":
-    """Resolve a :class:`QueryOptions` from new- or old-style arguments.
-
-    The old keyword style (``top=``/``min_score=``/``retrieve=``/
-    ``statistics=``, or a bare integer in the ``options`` slot meaning
-    ``top``) still works but emits a :class:`DeprecationWarning`;
-    passing both styles at once is an error.
-    """
-    base = defaults if defaults is not None else QueryOptions()
-    overrides: dict[str, object] = {}
-    if isinstance(options, bool):
-        raise TypeError(f"options must be QueryOptions, got {options!r}")
-    if isinstance(options, int):
-        # Legacy positional ``top`` in the slot QueryOptions now occupies.
-        overrides["top"] = options
-        options = None
-    for key, value in (
-        ("top", top),
-        ("min_score", min_score),
-        ("retrieve", retrieve),
-        ("statistics", statistics),
-    ):
-        if value is not None:
-            overrides[key] = value
-    if options is not None:
-        if not isinstance(options, QueryOptions):
-            raise TypeError(
-                f"options must be QueryOptions, got {type(options).__name__}"
-            )
-        if overrides:
-            raise TypeError(
-                "pass a QueryOptions or the legacy keywords, not both"
-            )
-        return options
-    if overrides:
-        warnings.warn(
-            "top=/min_score=/retrieve=/statistics= keywords are deprecated; "
-            "pass a repro.service.QueryOptions instead",
-            DeprecationWarning,
-            stacklevel=_stacklevel,
+    """``options``, else ``defaults``, else ``QueryOptions()``."""
+    if options is None:
+        return defaults if defaults is not None else QueryOptions()
+    if not isinstance(options, QueryOptions):
+        raise TypeError(
+            f"options must be QueryOptions, got {type(options).__name__}"
         )
-        return base.replace(**overrides)
-    return base
+    return options
 
 
 from .cache import CacheKey, CacheStats, ResultCache, scheme_token
@@ -232,7 +185,6 @@ from .guard import (
     IndexManager,
 )
 from .protocol import PROTOCOL_VERSION, ProtocolError
-from .server import QueryRequest, SearchServer
 from .net import ServerConfig, TcpSearchServer
 from .client import AsyncSearchClient, SearchClient
 from .cluster import (

@@ -262,27 +262,19 @@ class SearchClient:
     def search(
         self,
         query: str,
-        options: QueryOptions | int | None = None,
+        options: QueryOptions | None = None,
         *,
-        top: int | None = None,
-        min_score: int | None = None,
-        retrieve: int | None = None,
         trace_id: str | None = None,
         parent_span: str | None = None,
     ) -> SearchResponse:
         """One remote search; same signature family as ``SearchEngine.search``.
-
-        The legacy ``top=``/``min_score=``/``retrieve=`` keywords work
-        (with a :class:`DeprecationWarning`), exactly as on the engine.
 
         ``trace_id``/``parent_span`` propagate a distributed trace
         context so the server's span tree joins the caller's trace;
         when omitted, the context of the span currently open on this
         thread (if any) is injected automatically.
         """
-        resolved = resolve_query_options(
-            options, self.defaults, top=top, min_score=min_score, retrieve=retrieve
-        )
+        resolved = resolve_query_options(options, self.defaults)
         if trace_id is None:
             current = self.obs.tracer.current()
             if current is not None and current.trace_id:

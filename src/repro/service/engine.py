@@ -168,9 +168,9 @@ class SearchEngine:
         in-process; more builds a :class:`SupervisedWorkerPool` with
         that class's defaults.
     spec:
-        How workers build their locate kernel (software row sweep by
-        default; ``WorkerSpec("accelerator", elements=N)`` for the
-        simulated device).
+        How workers build their locate kernel (the process-default
+        backend by default; ``WorkerSpec("hw-sim", elements=N)`` for
+        the simulated device).
     cache:
         Result cache; defaults to a 128-entry LRU.  Pass
         ``ResultCache(0)`` to disable.
@@ -480,39 +480,18 @@ class SearchEngine:
     def search(
         self,
         query: str,
-        options: QueryOptions | int | None = None,
+        options: QueryOptions | None = None,
         *,
-        top: int | None = None,
-        min_score: int | None = None,
-        retrieve: int | None = None,
-        statistics: ScoreStatistics | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResponse:
-        """Rank the database against one query (see ``search_batch``).
-
-        ``options`` is the request's :class:`~repro.service.QueryOptions`;
-        the spelled-out keywords are the deprecated pre-options
-        signature, kept working through the same shim ``search_batch``
-        applies.
-        """
-        resolved = resolve_query_options(
-            options,
-            top=top,
-            min_score=min_score,
-            retrieve=retrieve,
-            statistics=statistics,
-        )
-        return self.search_batch([query], resolved, deadline=deadline)[0]
+        """Rank the database against one query (see ``search_batch``)."""
+        return self.search_batch([query], options, deadline=deadline)[0]
 
     def search_batch(
         self,
         queries: Sequence[str],
-        options: QueryOptions | int | None = None,
+        options: QueryOptions | None = None,
         *,
-        top: int | None = None,
-        min_score: int | None = None,
-        retrieve: int | None = None,
-        statistics: ScoreStatistics | None = None,
         deadline: Deadline | None = None,
     ) -> list[SearchResponse]:
         """Rank the database against every query in one index pass.
@@ -525,8 +504,7 @@ class SearchEngine:
 
         ``options`` (a :class:`~repro.service.QueryOptions`) carries
         ``top``/``min_score``/``retrieve``/``statistics``/
-        ``deadline_ms``; the legacy keywords still work but emit a
-        :class:`DeprecationWarning`.
+        ``deadline_ms``/``kernel``.
 
         ``deadline`` is an already-anchored budget from an upstream
         layer (the TCP server anchors at receipt); when absent and the
@@ -538,13 +516,7 @@ class SearchEngine:
         a hot reload mid-batch is invisible to this batch, which
         finishes on the generation it admitted under.
         """
-        resolved = resolve_query_options(
-            options,
-            top=top,
-            min_score=min_score,
-            retrieve=retrieve,
-            statistics=statistics,
-        ).validate()
+        resolved = resolve_query_options(options).validate()
         top = resolved.top
         min_score = resolved.min_score
         retrieve = resolved.retrieve

@@ -4,7 +4,7 @@ The paper's deployment model (section 5) is a host streaming queries
 to a resident accelerator and reading a few bytes of ranked results
 back; :class:`TcpSearchServer` is that interface made real for the
 software service.  It wraps the existing :class:`SearchEngine`
-machinery — the embedding point ``serve_queue`` promised — with:
+machinery with:
 
 * **concurrent connections**, each pipelining many in-flight requests
   over one socket (frames are matched by request id, so responses may
@@ -45,7 +45,7 @@ machinery — the embedding point ``serve_queue`` promised — with:
 The engine runs on a single dispatch thread (one
 :class:`~concurrent.futures.ThreadPoolExecutor` worker), which both
 keeps the asyncio loop responsive during sweeps and serializes access
-to the engine the way ``serve_queue`` does.
+to the engine.
 
 All bytes on the wire are produced and consumed by
 :mod:`repro.service.protocol`; nothing here encodes frames by hand.

@@ -53,26 +53,23 @@ Candidate = tuple[int, int, int, int]
 class WorkerSpec:
     """How a worker builds its locate kernel.
 
-    ``kind`` names a :mod:`repro.kernels` backend, or one of two
-    legacy aliases: ``"software"`` (the process-default backend —
-    ``REPRO_KERNEL`` when set, else ``numpy-striped``) and
-    ``"accelerator"`` (the ``hw-sim`` backend with ``elements`` /
-    ``engine`` as configured).  The spec — not the kernel — is what
-    crosses the process boundary, so device state is built fresh in
-    each worker process (one per worker per sweep).
+    ``kind`` names a :mod:`repro.kernels` backend; ``None`` is the
+    process default (``REPRO_KERNEL`` when set, else
+    ``numpy-striped``).  ``elements`` / ``engine`` configure the
+    ``hw-sim`` backend.  The spec — not the kernel — is what crosses
+    the process boundary, so device state is built fresh in each
+    worker process (one per worker per sweep).
     """
 
-    kind: str = "software"
+    kind: str | None = None
     elements: int = 100
     engine: str = "emulator"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("software", "accelerator") and (
-            self.kind not in available_backends()
-        ):
+        if self.kind is not None and self.kind not in available_backends():
             raise ValueError(
-                f"unknown worker kind {self.kind!r} (use 'software', "
-                f"'accelerator', or one of: {', '.join(available_backends())})"
+                f"unknown worker kind {self.kind!r} "
+                f"(available: {', '.join(available_backends())})"
             )
         if self.elements < 1:
             raise ValueError(f"need at least one element, got {self.elements}")
@@ -83,11 +80,7 @@ class WorkerSpec:
         Resolved at call time (not construction) so a spec pickled
         into a worker subprocess honours that process's environment.
         """
-        if self.kind == "software":
-            return default_kernel()
-        if self.kind == "accelerator":
-            return "hw-sim"
-        return self.kind
+        return self.kind if self.kind is not None else default_kernel()
 
     def make_backend(
         self, scheme: LinearScoring | SubstitutionMatrix

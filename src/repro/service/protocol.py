@@ -4,10 +4,7 @@ This module is the single owner of everything that crosses the wire
 between :class:`~repro.service.net.TcpSearchServer` and
 :class:`~repro.service.client.SearchClient` — both sides call the same
 encode/decode functions, so the bytes are shared byte-for-byte by
-construction.  The legacy line protocol
-(:meth:`~repro.service.server.SearchServer.handle_line`) also routes
-its option parsing and error formatting through here, so the two
-front-ends cannot drift.
+construction.
 
 Frame format
 ------------
@@ -55,8 +52,8 @@ Server → client types::
 Error frames reuse the :class:`~repro.service.resilience.ServiceError`
 taxonomy codes (``bad-request`` / ``overloaded`` / ``timeout`` /
 ``shard-failure`` / ``worker-timeout`` / ``index-corrupt`` /
-``protocol`` / ``internal``) — the same one-token classes the line
-protocol prints after ``error``.
+``protocol`` / ``internal``) — the same one-token classes the CLI
+prints after ``error``.
 
 Version negotiation
 -------------------
@@ -118,7 +115,6 @@ __all__ = [
     "error_for_code",
     "classify_exception",
     "one_line",
-    "parse_option_tokens",
     "format_error_line",
 ]
 
@@ -154,12 +150,9 @@ HEADER = struct.Struct(">I")
 VERBS = ("search", "stats", "metrics", "trace", "ping", "health", "reload", "ingest")
 V2_VERBS = frozenset({"health", "reload", "ingest"})
 
-#: Option keys accepted on the wire per protocol version, and by the
-#: line protocol (``metrics`` is line-protocol only: render metrics
-#: with the reply).
+#: Option keys accepted on the wire per protocol version.
 WIRE_OPTION_KEYS_V1 = ("top", "min_score", "retrieve")
 WIRE_OPTION_KEYS = WIRE_OPTION_KEYS_V1 + ("deadline_ms", "kernel")
-LINE_OPTION_KEYS = WIRE_OPTION_KEYS + ("metrics",)
 
 #: The option keys whose wire value is a string, not an integer
 #: (``kernel`` names a registry backend).
@@ -661,8 +654,8 @@ def error_for_code(code: str, message: str) -> ServiceError:
 def classify_exception(exc: BaseException) -> tuple[str, str]:
     """Map any failure onto the taxonomy ``(code, one-line message)``.
 
-    This is the single mapping both front-ends apply: a
-    :class:`ServiceError` keeps its own code, malformed input
+    This is the single mapping the server's error frames and the
+    CLI's error lines apply: a :class:`ServiceError` keeps its own code, malformed input
     (``ValueError``/``TypeError``) is ``bad-request``, and anything
     else is ``internal`` tagged with the exception type.
     """
@@ -674,43 +667,13 @@ def classify_exception(exc: BaseException) -> tuple[str, str]:
 
 
 # ----------------------------------------------------------------------
-# Line-protocol helpers (shared with SearchServer.handle_line)
+# One-line error rendering (the CLI's ``error <code> <message>``)
 # ----------------------------------------------------------------------
 def one_line(message: object) -> str:
     """Collapse a message onto one protocol line."""
     return " ".join(str(message).split()) or "unspecified error"
 
 
-def parse_option_tokens(
-    tokens: list[str], allowed: tuple[str, ...] = LINE_OPTION_KEYS
-) -> dict[str, int | str]:
-    """Parse line-protocol ``key=value`` tokens into options.
-
-    The one option grammar both the line protocol and tests share;
-    unknown keys and non-integer values raise :class:`ValueError`
-    (``bad-request`` after :func:`classify_exception`).  String-valued
-    keys (``kernel``) keep the token verbatim.
-    """
-    options: dict[str, int | str] = {}
-    for token in tokens:
-        if "=" not in token:
-            raise ValueError(f"malformed option {token!r} (expected key=value)")
-        key, _, value = token.partition("=")
-        key = key.replace("-", "_")
-        if key not in allowed:
-            raise ValueError(f"unknown option {key!r}")
-        if key in STRING_OPTION_KEYS:
-            if not value:
-                raise ValueError(f"option {key!r} needs a value")
-            options[key] = value
-            continue
-        try:
-            options[key] = int(value)
-        except ValueError:
-            raise ValueError(f"option {key!r} needs an integer, got {value!r}") from None
-    return options
-
-
 def format_error_line(code: str, message: object) -> str:
-    """The line protocol's structured failure: ``error <code> <message>``."""
+    """A structured failure on one line: ``error <code> <message>``."""
     return f"error {code} {one_line(message)}"

@@ -9,8 +9,9 @@ scans assume unit-level faults), and this module brings that posture
 here:
 
 * an **error taxonomy** rooted at :class:`ServiceError`, whose
-  ``code`` attribute is the one-token failure class the line protocol
-  emits (``error <code> <message>``);
+  ``code`` attribute is the one-token failure class the wire
+  protocol's error frames carry (``error <code> <message>`` on the
+  CLI);
 * a :class:`RetryPolicy` — capped exponential backoff with
   deterministic jitter, so two runs with the same seed schedule the
   same delays;
@@ -900,7 +901,6 @@ class SupervisedWorkerPool:
         task_timeout: float | None = None,
         quarantine_after: int = 1,
         fault_plan: FaultPlan | None = None,
-        poll_interval: float = 0.005,
         obs: Observability | None = None,
     ) -> None:
         if workers < 1:
@@ -915,7 +915,6 @@ class SupervisedWorkerPool:
         self.task_timeout = task_timeout
         self.quarantine_after = quarantine_after
         self.fault_plan = fault_plan
-        self.poll_interval = poll_interval
         self.health: dict[int, ShardHealth] = {}
         self.sweeps_run = 0
         self.attempts_total = 0
@@ -1079,15 +1078,18 @@ class SupervisedWorkerPool:
         """Block until a result or a worker exit, or the next timer.
 
         Timers are the in-progress shards' kill times, retry backoffs
-        (while a worker slot is free) and the sweep deadline;
-        ``poll_interval`` caps any one wait.
+        (while a worker slot is free) and the sweep deadline.  With no
+        finite timer the wait ends only on a pipe or a process sentinel.
         """
         wake = [run.deadline for run in running]
         if len(running) < self.workers:
             wake += [entry[2] for entry in pending]
         if deadline is not None:
             wake.append(deadline.expires_at)
-        timeout = min(self.poll_interval, max(min(wake) - time.monotonic(), 0.0))
+        earliest = min(wake)
+        timeout = (
+            max(earliest - time.monotonic(), 0.0) if math.isfinite(earliest) else None
+        )
         handles = [run.conn for run in running] + [run.process.sentinel for run in running]
         if handles:
             multiprocessing.connection.wait(handles, timeout)
@@ -1109,23 +1111,17 @@ class SupervisedWorkerPool:
             self._close(run)
         running.clear()
 
-    def _attempt_timeout(self, deadline: Deadline | None) -> float:
-        """This attempt's kill-timer: static bound capped by the budget.
+    def _kill_at(self, deadline: Deadline | None) -> float:
+        """When a shard attempt starting now is killed.
 
-        The pre-deadline behaviour gave every retry the full
-        ``task_timeout`` again (worst case ``retries x timeout``); with
-        a request deadline in hand each attempt only ever gets what is
-        left of the budget.
+        The static ``task_timeout``, capped at the request's deadline:
+        without the cap every retry got the full ``task_timeout`` again
+        (worst case ``retries x timeout``); with it an attempt only ever
+        gets what is left of the budget.
         """
         static = self.task_timeout if self.task_timeout is not None else math.inf
-        if deadline is None:
-            return static
-        return min(static, max(deadline.remaining(), 0.0))
-
-    def _kill_at(self, deadline: Deadline | None) -> float:
-        """When a shard attempt starting now is killed."""
-        limit = self._attempt_timeout(deadline)
-        return time.monotonic() + limit if math.isfinite(limit) else math.inf
+        kill_at = time.monotonic() + static
+        return kill_at if deadline is None else min(kill_at, deadline.expires_at)
 
     def _launch(
         self, ctx, items, queries, scheme, min_score, k, deadline, spec
@@ -1211,6 +1207,11 @@ class SupervisedWorkerPool:
             )
             error = ShardFailure(sid, f"worker died (exit code {run.process.exitcode})")
         elif time.monotonic() > run.deadline:
+            if deadline is not None and deadline.expired:
+                # The kill timer is the request's deadline, read after the
+                # sweep's own deadline check passed: the sweep's deadline
+                # abort kills this worker; the shard did not time out.
+                return progressed
             outcome.timeouts += 1
             self._m_timeouts.inc()
             self.obs.tracer.event(

@@ -7,9 +7,21 @@ The strategies encode the repository's input domain:
 * ``linear_schemes`` — valid linear scoring schemes (match > 0,
   mismatch < match, gap < 0) so property tests cover the scheme space
   rather than only the paper's +1/-1/-2.
+
+``ServeProcess`` runs ``repro serve --tcp`` in a child process for the
+command-line serving tests.
 """
 
 from __future__ import annotations
+
+import os
+import queue
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -75,3 +87,83 @@ def mutated_120() -> tuple[str, str]:
     from repro.io.generate import mutated_pair
 
     return mutated_pair(120, rate=0.15, seed=42)
+
+
+class ServeProcess:
+    """``repro serve DATABASE --tcp 127.0.0.1:0 FLAGS...`` in a child process.
+
+    Entering waits for the child's ``listening on`` line and sets
+    ``host``/``port``.  :meth:`stop` sends SIGINT (graceful drain),
+    requires exit status 0 and returns the child's merged stdout and
+    stderr lines; leaving the block stops it, or on error kills its
+    process group (the child leads a session of its own).
+    """
+
+    def __init__(self, database, *flags: str) -> None:
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        self.argv = [
+            sys.executable, "-m", "repro", "serve", str(database),
+            "--tcp", "127.0.0.1:0", *flags,
+        ]
+        self.env = {**os.environ, "PYTHONPATH": src}
+        self.output: list[str] = []
+        self.stopped_at: float | None = None
+
+    def __enter__(self) -> "ServeProcess":
+        self.proc = subprocess.Popen(
+            self.argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=self.env,
+            start_new_session=True,
+        )
+        self._lines: queue.Queue = queue.Queue()
+        self._pump = threading.Thread(target=self._read, daemon=True)
+        self._pump.start()
+        try:
+            while not self.output or not self.output[-1].startswith("listening on"):
+                line = self._lines.get(timeout=60)
+                assert line is not None, "".join(self.output)
+                self.output.append(line)
+        except BaseException:
+            self._kill()
+            raise
+        self.host, _, port = self.output[-1].split()[-1].rpartition(":")
+        self.port = int(port)
+        return self
+
+    def _read(self) -> None:
+        for line in self.proc.stdout:
+            self._lines.put(line)
+        self._lines.put(None)  # EOF: the child exited
+
+    def stop(self) -> list[str]:
+        """Drain the server with SIGINT; its whole output, line by line."""
+        if self.stopped_at is None:
+            self.stopped_at = time.time()
+            self.proc.send_signal(signal.SIGINT)
+            assert self.proc.wait(timeout=30) == 0, "".join(self.output)
+            self.output.extend(iter(lambda: self._lines.get(timeout=10), None))
+            self._close()
+        return self.output
+
+    def _kill(self) -> None:
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.proc.wait(timeout=30)
+        self._close()
+
+    def _close(self) -> None:
+        self._pump.join(timeout=30)
+        self.proc.stdout.close()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None and self.stopped_at is None:
+            self._kill()
+        else:
+            self.stop()

@@ -11,22 +11,6 @@ from repro.io.generate import adversarial_pairs, mutated_pair
 from conftest import dna_pair
 
 
-class TestDeprecatedShim:
-    def test_old_import_path_warns_and_resolves(self):
-        import repro.parallel.cluster as legacy
-
-        with pytest.warns(DeprecationWarning, match="wavefront_cluster"):
-            cls = legacy.WavefrontCluster
-        assert cls is WavefrontCluster
-        assert "accelerated_config" in dir(legacy)
-
-    def test_unknown_attribute_raises(self):
-        import repro.parallel.cluster as legacy
-
-        with pytest.raises(AttributeError):
-            legacy.does_not_exist
-
-
 class TestClusterCorrectness:
     @pytest.mark.parametrize("name,s,t", adversarial_pairs())
     @pytest.mark.parametrize("procs", [1, 2, 4])

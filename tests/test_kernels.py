@@ -10,9 +10,8 @@ The :mod:`repro.kernels` contract under test:
   inputs (Hypothesis), including empty sequences;
 * batched and sequential entry points of the same backend agree;
 * selection is honoured end-to-end: ``scan_database(kernel=...)``,
-  ``QueryOptions.kernel`` through the engine and over TCP, cache keys
-  per kernel, and the deprecation shim for the old ``locate=``
-  callable.
+  ``QueryOptions.kernel`` through the engine and over TCP, and cache
+  keys per kernel.
 """
 
 import numpy as np
@@ -126,15 +125,16 @@ class TestRegistry:
             _INSTANCES.pop("custom-test", None)
 
 
-class TestWorkerSpecAliases:
-    def test_software_resolves_process_default(self, monkeypatch):
+class TestWorkerSpec:
+    def test_default_resolves_process_default_at_call_time(self, monkeypatch):
+        spec = WorkerSpec()
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert WorkerSpec("software").resolved_kernel() == DEFAULT_KERNEL
-        monkeypatch.setenv("REPRO_KERNEL", "numpy-striped")
-        assert WorkerSpec("software").resolved_kernel() == "numpy-striped"
+        assert spec.resolved_kernel() == DEFAULT_KERNEL
+        monkeypatch.setenv("REPRO_KERNEL", "reference")
+        assert spec.resolved_kernel() == "reference"
 
-    def test_accelerator_resolves_hw_sim(self):
-        spec = WorkerSpec("accelerator", elements=16)
+    def test_hw_sim_builds_a_device_of_elements(self):
+        spec = WorkerSpec("hw-sim", elements=16)
         assert spec.resolved_kernel() == "hw-sim"
         backend = spec.make_backend(LinearScoring())
         assert backend.name == "hw-sim"
@@ -284,7 +284,7 @@ class TestBatchEquivalence:
 
 
 # ----------------------------------------------------------------------
-# scan_database selection + deprecation
+# scan_database selection
 # ----------------------------------------------------------------------
 class TestScanKernelSelection:
     RECORDS = [("a", "TTACGTTT"), ("b", "ACGTACGT"), ("c", "GGGGGGGG")]
@@ -334,20 +334,6 @@ class TestScanKernelSelection:
         assert ranking(report.hits) == ranking(base.hits)
         assert [h.alignment for h in report.hits] == [h.alignment for h in base.hits]
 
-    def test_locate_callable_deprecated_but_works(self):
-        with pytest.warns(DeprecationWarning, match="locate= is deprecated"):
-            report = scan_database(
-                "ACGT", self.RECORDS, locate=sw_locate_best, retrieve=0
-            )
-        base = scan_database("ACGT", self.RECORDS, retrieve=0)
-        assert ranking(report.hits) == ranking(base.hits)
-
-    def test_locate_and_kernel_together_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            scan_database(
-                "ACGT", self.RECORDS, locate=sw_locate_best, kernel="reference"
-            )
-
 
 # ----------------------------------------------------------------------
 # QueryOptions.kernel + wire protocol
@@ -391,12 +377,6 @@ class TestQueryOptionsKernel:
             protocol.options_from_wire({"kernel": 3})
         with pytest.raises(ValueError, match="non-empty string"):
             protocol.options_from_wire({"kernel": ""})
-
-    def test_line_protocol_token(self):
-        parsed = protocol.parse_option_tokens(["top=3", "kernel=numpy-striped"])
-        assert parsed == {"top": 3, "kernel": "numpy-striped"}
-        with pytest.raises(ValueError, match="needs a value"):
-            protocol.parse_option_tokens(["kernel="])
 
 
 # ----------------------------------------------------------------------

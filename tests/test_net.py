@@ -10,18 +10,12 @@ faults and overload.
 
 import asyncio
 import os
-import queue
-import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.io.fasta import FastaRecord
 from repro.io.generate import mutate, random_dna
 from repro.obs import Observability
@@ -42,6 +36,8 @@ from repro.service.client import AsyncSearchClient
 from repro.service.net import ServerConfig, ServerThread
 from repro.service.resilience import Fault, FaultPlan, corrupt_index_file
 from repro.service import protocol
+
+from conftest import ServeProcess
 
 
 def ranking(hits):
@@ -410,53 +406,19 @@ class TestServeCommand:
             mutate(records[r].sequence[40:100], rate=0.1, seed=1000 + r)
             for r in range(8)
         ]
-        src = str(Path(repro.__file__).resolve().parents[1])
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", str(path),
-             "--tcp", "127.0.0.1:0", "--workers", "2"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            start_new_session=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        lines: queue.Queue = queue.Queue()
-
-        def pump() -> None:
-            for line in proc.stdout:
-                lines.put(line)
-            lines.put(None)  # EOF: the server exited
-
-        pumper = threading.Thread(target=pump, daemon=True)
-        pumper.start()
-        output: list[str] = []
-        try:
-            while not output or not output[-1].startswith("listening on"):
-                line = lines.get(timeout=60)
-                assert line is not None, "".join(output)
-                output.append(line)
-            host, _, port = output[-1].split()[-1].rpartition(":")
+        with ServeProcess(path, "--workers", "2") as served:
             options = QueryOptions(top=5, min_score=1)
-            with SearchClient(host, int(port), retry=RetryPolicy(retries=0)) as client:
+            policy = RetryPolicy(retries=0)
+            with SearchClient(served.host, served.port, retry=policy) as client:
                 for q in queries:
                     remote = client.search(q, options)
                     expected = scan_database(q, records, top=5, min_score=1, retrieve=0)
                     assert remote.coverage == 1.0
                     assert ranking(remote.report.hits) == ranking(expected.hits)
-            proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=30) == 0
-            output.extend(iter(lambda: lines.get(timeout=10), None))
-            assert "served 8 requests\n" in output, "".join(output)
-            with pytest.raises(ProcessLookupError):
-                os.killpg(proc.pid, 0)
-        finally:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            proc.wait(timeout=30)
-            pumper.join(timeout=30)
-            proc.stdout.close()
+            output = served.stop()
+        assert "served 8 requests\n" in output, "".join(output)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(served.proc.pid, 0)
 
 
 class TestAdminVerbs:

@@ -1,8 +1,7 @@
 """Integration tests: the observability layer wired through the service."""
 
-import io
 import json
-import queue
+import time
 
 import pytest
 
@@ -14,13 +13,15 @@ from repro.service import (
     DatabaseIndex,
     FaultPlan,
     QueryOptions,
-    QueryRequest,
     ResultCache,
     RetryPolicy,
+    SearchClient,
     SearchEngine,
-    SearchServer,
     SupervisedWorkerPool,
 )
+from repro.service.net import ServerThread
+
+from conftest import ServeProcess
 
 
 def make_database(n=8, length=240, seed=700, query=None):
@@ -261,135 +262,82 @@ class TestFaultTelemetry:
 
 
 class TestServerVerbs:
-    def test_stats_includes_metrics_lines(self, planted):
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index, obs=Observability.create()))
-        server.handle_line(f"scan {query} top=2")
-        text = server.handle_line("stats")
-        assert "repro_requests_total: 1" in text
-        assert "repro_sweep_seconds: count=1" in text
-        assert "cache hit rate" in text  # the pre-existing summary survives
-
     def test_metrics_verb_renders_prometheus(self, planted):
         query, _, index = planted
-        server = SearchServer(SearchEngine(index, obs=Observability.create()))
-        server.handle_line(f"scan {query} top=2")
-        text = server.handle_line("metrics")
+        with ServerThread(SearchEngine(index, obs=Observability.create())) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                client.search(query, QueryOptions(top=2))
+                text = client.metrics()
         assert "# TYPE repro_requests_total counter" in text
         assert 'repro_sweep_seconds_bucket{le="+Inf"} 1' in text
 
     def test_metrics_verb_without_registry(self, planted):
         _, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        assert server.handle_line("metrics") == "# no metrics registered"
-
-    def test_trace_verb_lists_and_renders(self, planted):
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index, obs=Observability.create()))
-        server.handle_line(f"scan {query} top=2")
-        listing = server.handle_line("trace")
-        assert "engine.search" in listing
-        trace_id = listing.split()[0]
-        rendered = server.handle_line(f"trace {trace_id}")
-        assert "engine.search" in rendered
-        assert "cache.lookup" in rendered
+        with ServerThread(SearchEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                assert client.metrics() == ""
 
     def test_trace_verb_error_paths(self, planted):
-        query, _, index = planted
-        live = SearchServer(SearchEngine(index, obs=Observability.create()))
-        assert live.handle_line("trace") == "# no traces recorded"
-        assert live.handle_line("trace t999999").startswith("error bad-request")
-        off = SearchServer(SearchEngine(index))
-        assert "tracing disabled" in off.handle_line("trace")
-
-    def test_unknown_verb_mentions_new_verbs(self, planted):
         _, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        message = server.handle_line("frobnicate")
-        assert "metrics" in message and "trace" in message
+        with ServerThread(SearchEngine(index, obs=Observability.create())) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                assert client.trace() == "# no traces recorded"
+                with pytest.raises(ValueError, match="unknown trace id"):
+                    client.trace("t999999")
+        with ServerThread(SearchEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                assert "tracing disabled" in client.trace()
+
+
+@pytest.fixture(scope="module")
+def served_cli(tmp_path_factory, planted):
+    """One ``repro serve --tcp`` run with a metrics file and JSON logs.
+
+    ``--metrics-interval 3600`` leaves two dumps: the dump thread's
+    first tick (``live``, read back while the server is up, before any
+    request) and the final one after the drain.  The file is deleted
+    before the drain, so whatever is there afterwards is the final dump.
+    """
+    query, _, index = planted
+    tmp = tmp_path_factory.mktemp("served_cli")
+    idx = tmp / "db.idx"
+    index.save(idx)
+    path = tmp / "metrics.json"
+    flags = (
+        "--metrics-file", str(path), "--metrics-interval", "3600",
+        "--log-json", "--log-level", "info",
+    )
+    with ServeProcess(idx, *flags) as served:
+        deadline = time.monotonic() + 10.0
+        while not path.exists():
+            assert time.monotonic() < deadline, "no periodic metrics dump"
+            time.sleep(0.05)
+        live = json.loads(path.read_text())
+        with SearchClient(served.host, served.port) as client:
+            response = client.search(query, QueryOptions(top=2))
+        path.unlink()
+        output = served.stop()
+    return {"response": response, "live": live, "path": path, "output": output}
 
 
 class TestServeDumper:
-    def test_serve_writes_metrics_file(self, tmp_path, planted):
-        from repro.obs import PeriodicDumper
-
-        query, _, index = planted
-        obs = Observability.create()
-        engine = SearchEngine(index, obs=obs)
-        path = tmp_path / "metrics.json"
-        server = SearchServer(
-            engine, dumper=PeriodicDumper(obs.registry, path, interval=0.0)
-        )
-        out = io.StringIO()
-        server.serve(io.StringIO(f"scan {query} top=2\nquit\n"), out)
-        data = json.loads(path.read_text())
-        assert data["counters"]["repro_requests_total"] == 1.0
-
-    def test_serve_queue_dumps_on_shutdown(self, tmp_path, planted):
-        from repro.obs import PeriodicDumper
-
-        query, _, index = planted
-        obs = Observability.create()
-        engine = SearchEngine(index, obs=obs)
-        path = tmp_path / "metrics.json"
-        server = SearchServer(
-            engine, dumper=PeriodicDumper(obs.registry, path, interval=3600.0)
-        )
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        requests.put(QueryRequest(query, QueryOptions(top=2)))
-        requests.put(None)
-        server.serve_queue(requests, responses)
-        # The shutdown path dumps unconditionally, interval or not.
-        data = json.loads(path.read_text())
-        assert data["counters"]["repro_requests_total"] == 1.0
+    def test_serve_writes_metrics_file(self, served_cli):
+        live = served_cli["live"]
+        assert set(live) >= {"counters", "gauges", "histograms"}
+        assert live["counters"]["repro_requests_total"] == 0.0
 
 
 class TestCLIObservability:
-    def _db(self, tmp_path, records):
-        from repro.io.fasta import write_fasta
-
-        db = tmp_path / "db.fasta"
-        write_fasta(records, db)
-        return db
-
-    def test_serve_with_metrics_file_and_logging(
-        self, tmp_path, capsys, monkeypatch, planted
-    ):
-        from repro.cli import main
-
-        query, records, _ = planted
-        db = self._db(tmp_path, records)
-        path = tmp_path / "metrics.json"
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(f"scan {query} top=2\nstats\nquit\n")
-        )
-        assert (
-            main(
-                [
-                    "serve", str(db),
-                    "--log-level", "warning",
-                    "--metrics-file", str(path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "rec2" in out
-        assert "repro_requests_total: 1" in out
-        snapshot = json.loads(path.read_text())
+    def test_serve_with_metrics_file_and_logging(self, served_cli):
+        assert served_cli["response"].report.best().record == "rec2"
+        snapshot = json.loads(served_cli["path"].read_text())
         assert snapshot["counters"]["repro_requests_total"] == 1.0
+        assert "served 1 requests\n" in served_cli["output"]
 
-    def test_stats_command_renders_snapshot(self, tmp_path, capsys, monkeypatch, planted):
+    def test_stats_command_renders_snapshot(self, served_cli, capsys):
         from repro.cli import main
 
-        query, records, _ = planted
-        db = self._db(tmp_path, records)
-        path = tmp_path / "metrics.json"
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"scan {query} top=2\nquit\n"))
-        assert main(["serve", str(db), "--metrics-file", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["stats", str(path)]) == 0
+        assert main(["stats", str(served_cli["path"])]) == 0
         out = capsys.readouterr().out
         assert "counters / gauges" in out
         assert "repro_requests_total" in out
@@ -403,28 +351,8 @@ class TestCLIObservability:
         assert main(["stats", str(path)]) == 0
         assert "no metrics in snapshot" in capsys.readouterr().out
 
-    def test_serve_log_json_emits_structured_stderr(
-        self, tmp_path, capsys, monkeypatch, planted
-    ):
-        import logging
-
-        from repro.cli import main
-
-        query, _, index = planted
-        idx = tmp_path / "db.idx"
-        index.save(idx)
-        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
-        try:
-            assert main(["serve", str(idx), "--log-json", "--log-level", "info"]) == 0
-            err = capsys.readouterr().err
-            payloads = [json.loads(line) for line in err.splitlines() if line]
-            assert any(p["event"] == "index.loaded" for p in payloads)
-        finally:
-            root = logging.getLogger("repro")
-            for handler in list(root.handlers):
-                if not isinstance(handler, logging.NullHandler):
-                    root.removeHandler(handler)
-            root.setLevel(logging.NOTSET)
-            import repro.obs.log as obslog
-
-            obslog._json_lines = False
+    def test_serve_log_json_emits_structured_stderr(self, served_cli):
+        payloads = [
+            json.loads(line) for line in served_cli["output"] if line.startswith("{")
+        ]
+        assert any(p["event"] == "index.loaded" for p in payloads)

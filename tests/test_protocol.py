@@ -1,13 +1,10 @@
-"""Wire-protocol tests: framing round-trips, failure modes, shims.
+"""Wire-protocol tests: framing round-trips, failure modes, options.
 
 The frame protocol is the contract between server and client; these
 tests pin it three ways — property-based encode→decode identity,
 explicit clean failures for every way a byte stream can be broken, and
-the QueryOptions deprecation shim that keeps the old keyword API
-working while the dataclass becomes the one request vocabulary.
+:class:`QueryOptions`, the one request vocabulary every layer speaks.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +22,6 @@ from repro.service import (
 )
 from repro.service import protocol
 from repro.service.engine import RequestMetrics, SearchResponse
-from repro.service.server import QueryRequest
 
 
 # ----------------------------------------------------------------------
@@ -356,27 +352,9 @@ class TestErrors:
 
 
 # ----------------------------------------------------------------------
-# Line-protocol option grammar (shared with handle_line)
+# QueryOptions
 # ----------------------------------------------------------------------
-class TestOptionTokens:
-    def test_parses_known_keys(self):
-        assert protocol.parse_option_tokens(["top=5", "min-score=2", "retrieve=1"]) == {
-            "top": 5, "min_score": 2, "retrieve": 1,
-        }
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError, match="malformed option"):
-            protocol.parse_option_tokens(["top"])
-        with pytest.raises(ValueError, match="unknown option"):
-            protocol.parse_option_tokens(["fanout=2"])
-        with pytest.raises(ValueError, match="needs an integer"):
-            protocol.parse_option_tokens(["top=five"])
-
-
-# ----------------------------------------------------------------------
-# QueryOptions and the deprecation shim
-# ----------------------------------------------------------------------
-class TestQueryOptionsShim:
+class TestQueryOptions:
     def test_validate_ranges(self):
         QueryOptions().validate()
         with pytest.raises(ValueError, match="top must be positive"):
@@ -384,42 +362,25 @@ class TestQueryOptionsShim:
         with pytest.raises(ValueError, match="retrieve cannot be negative"):
             QueryOptions(retrieve=-1).validate()
 
-    def test_legacy_keywords_warn_and_match(self):
-        with pytest.warns(DeprecationWarning):
-            request = QueryRequest("ACGT", top=3, min_score=2)
-        assert request.options == QueryOptions(top=3, min_score=2)
-        assert (request.top, request.min_score, request.retrieve) == (3, 2, 0)
-
-    def test_new_style_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            request = QueryRequest("ACGT", QueryOptions(top=3))
-        assert request.options.top == 3
-
-    def test_mixing_styles_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            QueryRequest("ACGT", QueryOptions(top=3), top=4)
-
     def test_construction_never_validates(self):
         # A bad request must reach the engine and come back structured.
-        assert QueryRequest("ACGT", QueryOptions(top=0)).options.top == 0
+        assert QueryOptions(top=0).top == 0
 
-    def test_engine_legacy_keywords_equal_options_path(self, tmp_path):
+    def test_resolve_prefers_options_then_defaults(self):
+        from repro.service import resolve_query_options
+
+        options, defaults = QueryOptions(top=3), QueryOptions(top=7)
+        assert resolve_query_options(options, defaults) is options
+        assert resolve_query_options(None, defaults) is defaults
+        assert resolve_query_options() == QueryOptions()
+
+    def test_engine_rejects_anything_but_options(self):
         from repro.io.fasta import FastaRecord
         from repro.io.generate import random_dna
-        from repro.service import DatabaseIndex, ResultCache, SearchEngine
+        from repro.service import DatabaseIndex, SearchEngine
 
         records = [FastaRecord(f"r{i}", random_dna(120, seed=i)) for i in range(4)]
-        engine = SearchEngine(
-            DatabaseIndex.build(records, shard_bp=300), cache=ResultCache(0)
-        )
-        query = random_dna(30, seed=99)
-        new = engine.search(query, QueryOptions(top=3, min_score=2))
-        with pytest.warns(DeprecationWarning):
-            old = engine.search(query, top=3, min_score=2)
-        with pytest.warns(DeprecationWarning):
-            positional = engine.search(query, 3, min_score=2)
-        ranking = lambda r: [
-            (h.record, h.length, h.hit.as_tuple()) for h in r.report.hits
-        ]
-        assert ranking(old) == ranking(new) == ranking(positional)
+        engine = SearchEngine(DatabaseIndex.build(records, shard_bp=300))
+        for bad in (3, True, {"top": 3}):
+            with pytest.raises(TypeError, match="options must be QueryOptions"):
+                engine.search("ACGTACGT", bad)

@@ -69,9 +69,8 @@ def test_service_stable_surface_pinned():
         "WorkerTimeout",
     ]
     # Internal machinery stays importable, just unpinned.
-    for name in ("SearchServer", "QueryRequest", "SupervisedWorkerPool",
-                 "FaultPlan", "RetryPolicy", "TcpSearchServer",
-                 "AsyncSearchClient", "partition_index"):
+    for name in ("SupervisedWorkerPool", "FaultPlan", "RetryPolicy",
+                 "TcpSearchServer", "AsyncSearchClient", "partition_index"):
         assert hasattr(repro.service, name), f"repro.service.{name} vanished"
     from repro.service.guard import ServiceTimeTracker  # noqa: F401
     from repro.service.cluster import NodeEjected, NodeHealth  # noqa: F401

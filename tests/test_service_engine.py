@@ -1,8 +1,6 @@
 """Tests for the search-service pool, cache, engine and server."""
 
-import io
-import queue
-import threading
+import socket
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,15 +10,17 @@ from repro.io.fasta import FastaRecord
 from repro.io.generate import mutate, random_dna
 from repro.scan import scan_database
 from repro.service import (
+    BadRequest,
     DatabaseIndex,
     QueryOptions,
-    QueryRequest,
     ResultCache,
+    SearchClient,
     SearchEngine,
-    SearchServer,
     WorkerSpec,
 )
+from repro.service import protocol
 from repro.service.cache import CacheKey, scheme_token
+from repro.service.net import ServerThread
 
 
 def make_database(n=10, length=300, seed=300, query=None):
@@ -63,7 +63,7 @@ class TestPoolEquivalence:
         engine = SearchEngine(
             index,
             workers=workers,
-            spec=WorkerSpec("accelerator", elements=64),
+            spec=WorkerSpec("hw-sim", elements=64),
             cache=ResultCache(0),
         )
         assert ranking(engine.search(query).report.hits) == ranking(base.hits)
@@ -302,164 +302,49 @@ class TestCacheSemantics:
 
 
 class TestServer:
-    def test_line_protocol(self, planted):
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        out = io.StringIO()
-        served = server.serve(
-            io.StringIO(f"scan {query} top=3\nstats\nquit\nscan {query}\n"), out
-        )
-        text = out.getvalue()
-        assert served == 1
-        assert "hit3" in text
-        assert "cache hit rate" in text
-        # Nothing after quit was processed.
-        assert text.count("rank") == 1
-
     def test_options_and_errors(self, planted):
         query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        assert "no hits >= min_score 9999" in server.handle_line(
-            f"scan {query} min_score=9999"
-        )
-        assert server.handle_line("scan").startswith("error bad-request")
-        assert server.handle_line("frobnicate").startswith("error bad-request")
-        assert server.handle_line("scan ACGT top=oops").startswith("error bad-request")
-        assert server.handle_line("scan ACGT bogus=1").startswith("error bad-request")
-        assert server.handle_line("") == ""
-        assert server.handle_line("# comment") == ""
-        assert "request metrics" in server.handle_line(f"scan {query} metrics=1")
+        with ServerThread(SearchEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                empty = client.search(query, QueryOptions(min_score=9999))
+                assert "no hits >= min_score 9999" in empty.render()
+                with pytest.raises(BadRequest, match="top must be positive"):
+                    client.search(query, QueryOptions(top=0))
+                with pytest.raises(BadRequest, match="unknown kernel"):
+                    client.search(query, QueryOptions(kernel="fortran"))
+                response = client.search(query, QueryOptions(top=2))
+                assert "request metrics" in response.render(with_metrics=True)
 
     def test_error_responses_are_one_line(self, planted):
         query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        for line in ("scan", "scan ACGT top=oops", "nonsense", "scan ACGT top=0"):
-            response = server.handle_line(line)
-            assert response.startswith("error ")
-            assert "\n" not in response
+
+        class MultiLineFailure(SearchEngine):
+            def search_batch(self, queries, options=None, **kwargs):
+                raise ValueError("bad\nrequest,   spread over\nlines")
+
+        with ServerThread(MultiLineFailure(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                with pytest.raises(BadRequest) as excinfo:
+                    client.search(query)
+        assert str(excinfo.value) == "bad request, spread over lines"
 
     def test_malformed_request_does_not_tear_down_serve(self, planted):
-        """A bad line answers with an error line; the loop keeps going."""
+        """A protocol-broken peer gets an error frame; the server serves on."""
         query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        out = io.StringIO()
-        served = server.serve(
-            io.StringIO(
-                f"scan {query} top=notanint\nbogus verb\nscan {query} top=2\nquit\n"
-            ),
-            out,
-        )
-        text = out.getvalue()
-        assert served == 1
-        assert text.count("error bad-request") == 2
-        assert "hit3" in text
-
-    def test_queue_front_end(self, planted):
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        worker = threading.Thread(
-            target=server.serve_queue, args=(requests, responses)
-        )
-        worker.start()
-        requests.put(QueryRequest(query, QueryOptions(top=4)))
-        requests.put(QueryRequest(query, QueryOptions(top=4)))
-        requests.put(None)
-        worker.join(timeout=30)
-        assert not worker.is_alive()
-        first = responses.get(timeout=5)
-        second = responses.get(timeout=5)
-        assert first.report.best().record == "hit3"
-        assert second.metrics.cache_hit
-        assert server.served == 2
-
-    def test_queue_sentinel_stops_before_later_requests(self, planted):
-        """Requests enqueued after the ``None`` sentinel are not served."""
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        requests.put(QueryRequest(query, QueryOptions(top=2)))
-        requests.put(None)
-        requests.put(QueryRequest(query, QueryOptions(top=3)))
-        served = server.serve_queue(requests, responses)
-        assert served == 1
-        assert responses.qsize() == 1
-        # The post-sentinel request is still on the queue, unconsumed.
-        assert requests.qsize() == 1
-
-    def test_queue_responses_drain_after_shutdown(self, planted):
-        """The sentinel stops intake; emitted responses stay drainable."""
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        for top in (2, 3, 4):
-            requests.put(QueryRequest(query, QueryOptions(top=top)))
-        requests.put(None)
-        server.serve_queue(requests, responses)
-        requests.join()  # every request (and the sentinel) acknowledged
-        drained = [responses.get_nowait() for _ in range(3)]
-        assert all(len(r.report.hits) <= t for r, t in zip(drained, (2, 3, 4)))
-        assert [r.report.best().record for r in drained] == ["hit3"] * 3
-        with pytest.raises(queue.Empty):
-            responses.get_nowait()
-
-    def test_queue_concurrent_submitters_and_shutdown_ordering(self, planted):
-        """Many producer threads race the loop; shutdown still honors
-        every request enqueued before the sentinel, exactly once."""
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        consumer = threading.Thread(
-            target=server.serve_queue, args=(requests, responses)
-        )
-        consumer.start()
-        n_producers, per_producer = 4, 3
-        barrier = threading.Barrier(n_producers)
-
-        def produce(seed):
-            barrier.wait()
-            for i in range(per_producer):
-                requests.put(QueryRequest(query, QueryOptions(top=2 + (seed + i) % 3)))
-
-        producers = [
-            threading.Thread(target=produce, args=(p,)) for p in range(n_producers)
-        ]
-        for t in producers:
-            t.start()
-        for t in producers:
-            t.join(timeout=30)
-        requests.put(None)  # sentinel arrives after every producer finished
-        consumer.join(timeout=60)
-        assert not consumer.is_alive()
-        total = n_producers * per_producer
-        assert server.served == total
-        drained = [responses.get(timeout=5) for _ in range(total)]
-        assert all(r.report.best().record == "hit3" for r in drained)
-        with pytest.raises(queue.Empty):
-            responses.get_nowait()
-        # Intake is closed: a straggler enqueued after shutdown stays put.
-        requests.put(QueryRequest(query))
-        assert requests.qsize() == 1 and server.served == total
-
-    def test_queue_front_end_survives_bad_request(self, planted):
-        """A failing request yields its exception in-order; loop lives on."""
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        requests.put(QueryRequest(query, QueryOptions(top=0)))  # rejected by the engine
-        requests.put(QueryRequest(query, QueryOptions(top=2)))
-        requests.put(None)
-        served = server.serve_queue(requests, responses)
-        assert served == 1
-        failure = responses.get_nowait()
-        assert isinstance(failure, ValueError)
-        ok = responses.get_nowait()
-        assert ok.report.best().record == "hit3"
+        with ServerThread(SearchEngine(index)) as handle:
+            with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+                sock.sendall(protocol.HEADER.pack(5) + b"{nope")
+                header = sock.recv(protocol.HEADER.size, socket.MSG_WAITALL)
+                (length,) = protocol.HEADER.unpack(header)
+                frame = protocol.decode_frame_bytes(
+                    header + sock.recv(length, socket.MSG_WAITALL)
+                )
+                assert frame["type"] == "error" and frame["code"] == "protocol"
+            with SearchClient(handle.host, handle.port) as client:
+                with pytest.raises(BadRequest):
+                    client.search(query, QueryOptions(top=0))
+                assert client.search(query, QueryOptions(top=2)).report.best().record == "hit3"
+        assert handle.server.served == 1
 
 
 class TestCLIService:
@@ -511,17 +396,14 @@ class TestCLIService:
         assert "hit3" in out
         assert "request metrics" in out
 
-    def test_serve_command(self, tmp_path, capsys, monkeypatch, planted):
+    def test_serve_command(self, tmp_path, capsys, planted):
         from repro.cli import main
         from repro.io.fasta import write_fasta
 
-        query, records, _ = planted
+        _, records, _ = planted
         db = tmp_path / "db.fasta"
         write_fasta(records, db)
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(f"scan {query} top=2\nquit\n")
-        )
-        assert main(["serve", str(db)]) == 0
-        out = capsys.readouterr().out
-        assert "hit3" in out
-        assert "served 1 requests" in out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(db)])
+        assert excinfo.value.code == 2
+        assert "--tcp" in capsys.readouterr().err

@@ -5,11 +5,11 @@ and the final ranking is bit-identical to ``scan_database``; an
 unrecoverable shard yields a response with ``coverage < 1.0`` and the
 shard listed in ``degraded_shards``; a hung sweep is timed out and the
 engine completes via fallback — all with zero uncaught exceptions
-reaching ``SearchServer.serve``.
+reaching the TCP server's dispatch.
 """
 
-import io
 import math
+import time
 
 import pytest
 
@@ -18,13 +18,16 @@ from repro.io.generate import mutate, random_dna
 from repro.scan import scan_database
 from repro.service import (
     DatabaseIndex,
+    Deadline,
     Fault,
     FaultPlan,
     IndexCorrupt,
+    QueryOptions,
     ResultCache,
     RetryPolicy,
+    BadRequest,
+    SearchClient,
     SearchEngine,
-    SearchServer,
     ServiceError,
     ShardFailure,
     SupervisedWorkerPool,
@@ -33,6 +36,9 @@ from repro.service import (
     corrupt_index_file,
     validate_sweep,
 )
+from repro.service.net import ServerThread
+
+from conftest import ServeProcess
 
 #: Fast backoff for tests — real delays, deterministic, but tiny.
 FAST = RetryPolicy(retries=2, base_delay=0.005, max_delay=0.02, jitter=0.5, seed=7)
@@ -289,10 +295,12 @@ class TestSupervisedPool:
         query, _, index, _ = planted
         from repro.align.scoring import DEFAULT_DNA
 
+        # The healthy shards sweep under the same timer (fork included),
+        # so it must leave room for a loaded machine.
         pool = SupervisedWorkerPool(
             workers=2,
             policy=RetryPolicy(retries=0),
-            task_timeout=0.25,
+            task_timeout=1.0,
             fault_plan=FaultPlan.hang_on(0, seconds=30.0, times=None),
         )
         outcome = pool.sweep(index, [query], DEFAULT_DNA, 1, 10)
@@ -409,11 +417,11 @@ class TestGroupedPool:
         assert outcome.attempts == 4
         assert outcome.processes == 2
 
-    def test_deadline_mid_group_kills_every_child(self, planted):
+    def test_deadline_mid_group_kills_every_child(self, planted, monkeypatch):
         import multiprocessing
 
         from repro.align.scoring import DEFAULT_DNA
-        from repro.service import Deadline, DeadlineExceeded
+        from repro.service import DeadlineExceeded, resilience
 
         query, _, index, _ = planted
         pool = SupervisedWorkerPool(
@@ -421,12 +429,69 @@ class TestGroupedPool:
             policy=FAST,
             fault_plan=FaultPlan.hang_on(2, seconds=30.0, times=None),
         )
+        # The budget starts once shards 0, 1 and 3 have reported, so it
+        # runs out while shard 2 hangs however slowly the others swept.
+        deadline = ArmedDeadline()
+        reported = []
+
+        def validate_and_arm(sweep, *args):
+            validate_sweep(sweep, *args)
+            reported.append(sweep.shard_id)
+            if len(reported) == 3:
+                deadline.arm(0.2)
+
+        monkeypatch.setattr(resilience, "validate_sweep", validate_and_arm)
         with pytest.raises(DeadlineExceeded):
-            pool.sweep(index, [query], DEFAULT_DNA, 1, 10, deadline=Deadline.after(1.0))
+            pool.sweep(index, [query], DEFAULT_DNA, 1, 10, deadline=deadline)
+        assert sorted(reported) == [0, 1, 3]
         assert multiprocessing.active_children() == []
         # Shards 0, 1 and 3 finished; shard 2 was in progress.
         assert pool.attempts_total == 4
         assert pool.processes_total == 2
+
+    def test_kill_timer_read_after_the_deadline_check(self, planted, monkeypatch):
+        """A kill timer set by the request's deadline ends the sweep with
+        ``DeadlineExceeded``, never a ``WorkerTimeout``, when the
+        supervisor reads it after its deadline check passed (here it is
+        preempted between the two until the budget is gone)."""
+        import multiprocessing
+
+        from repro.align.scoring import DEFAULT_DNA
+        from repro.service import DeadlineExceeded
+
+        query, _, index, _ = planted
+        pool = SupervisedWorkerPool(
+            workers=2,
+            policy=FAST,
+            fault_plan=FaultPlan.hang_on(0, seconds=30.0, times=None),
+        )
+        deadline = Deadline.after(0.3)
+        advance = SupervisedWorkerPool._advance
+        preempted = []
+
+        def preempted_advance(self, *args):
+            if not preempted:
+                preempted.append(True)
+                while not deadline.expired:
+                    time.sleep(0.01)
+            return advance(self, *args)
+
+        monkeypatch.setattr(SupervisedWorkerPool, "_advance", preempted_advance)
+        with pytest.raises(DeadlineExceeded):
+            pool.sweep(index, [query], DEFAULT_DNA, 1, 10, deadline=deadline)
+        assert multiprocessing.active_children() == []
+        assert pool.timeouts_total == 0
+        assert pool.quarantined == ()
+
+
+class ArmedDeadline(Deadline):
+    """No budget until :meth:`arm`, then ``seconds`` from that moment."""
+
+    def __init__(self) -> None:
+        super().__init__(math.inf)
+
+    def arm(self, seconds: float) -> None:
+        object.__setattr__(self, "expires_at", time.monotonic() + seconds)
 
 
 class TestEngineFaultTolerance:
@@ -550,8 +615,8 @@ class TestEngineFaultTolerance:
 
 class TestServerFaultTolerance:
     def test_no_uncaught_exceptions_reach_serve(self, planted):
-        """Crashing shards, malformed requests, service errors: the loop
-        answers every line and exits only on quit."""
+        """Crashing shards, malformed requests, service errors: the server
+        answers every request and keeps serving."""
         query, _, index, _ = planted
         pool = SupervisedWorkerPool(
             workers=2,
@@ -559,74 +624,76 @@ class TestServerFaultTolerance:
             fault_plan=FaultPlan.crash_on(1, times=None),
         )
         engine = SearchEngine(index, pool=pool, fallback_scan=False)
-        server = SearchServer(engine)
-        out = io.StringIO()
-        script = (
-            f"scan {query} top=3\n"      # degraded but served
-            "scan\n"                      # bad request
-            "scan ACGT top=zero\n"        # bad request
-            "stats\n"
-            f"scan {query} top=2\n"
-            "quit\n"
-        )
-        served = server.serve(io.StringIO(script), out)
-        text = out.getvalue()
-        assert served == 2
-        assert text.count("degraded coverage=") == 2
-        assert text.count("error bad-request") == 2
-        assert "unhealthy" not in text  # three of four shards still sweep
+        with ServerThread(engine) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                first = client.search(query, QueryOptions(top=3))  # degraded but served
+                with pytest.raises(BadRequest):
+                    client.search(query, QueryOptions(top=0))
+                stats = client.stats()
+                second = client.search(query, QueryOptions(top=2))
+        assert handle.server.served == 2
+        for response in (first, second):
+            assert response.coverage < 1.0
+            assert response.degraded_shards == (1,)
+            assert response.render().startswith(
+                f"degraded coverage={response.coverage:.3f} shards=1\n"
+            )
+        assert stats["pool"] == "healthy"  # three of four shards still sweep
 
     def test_service_error_renders_taxonomy_code(self, planted):
         query, _, index, _ = planted
 
         class FailingEngine(SearchEngine):
-            def search(self, *args, **kwargs):
-                raise WorkerTimeout(3, 1.5)
+            failures = 1
 
-        server = SearchServer(FailingEngine(index))
-        response = server.handle_line(f"scan {query}")
-        assert response == "error worker-timeout shard 3: sweep exceeded 1.5s timeout"
+            def search_batch(self, queries, options=None, **kwargs):
+                if type(self).failures:
+                    type(self).failures -= 1
+                    raise WorkerTimeout(3, 1.5)
+                return super().search_batch(queries, options, **kwargs)
+
+        with ServerThread(FailingEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.search(query)
+                assert excinfo.value.code == "worker-timeout"
+                assert str(excinfo.value) == "shard 3: sweep exceeded 1.5s timeout"
+                assert client.search(query).report.best().record == "rec5"
 
     def test_internal_errors_are_contained(self, planted):
         query, _, index, _ = planted
 
         class ExplodingEngine(SearchEngine):
-            def search(self, *args, **kwargs):
-                raise RuntimeError("kernel\npanic")
+            failures = 1
 
-        server = SearchServer(ExplodingEngine(index))
-        out = io.StringIO()
-        server.serve(io.StringIO(f"scan {query}\nquit\n"), out)
-        assert "error internal RuntimeError: kernel panic" in out.getvalue()
+            def search_batch(self, queries, options=None, **kwargs):
+                if type(self).failures:
+                    type(self).failures -= 1
+                    raise RuntimeError("kernel\npanic")
+                return super().search_batch(queries, options, **kwargs)
+
+        with ServerThread(ExplodingEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.search(query)
+                assert excinfo.value.code == "internal"
+                assert str(excinfo.value) == "RuntimeError: kernel panic"
+                assert client.search(query).report.best().record == "rec5"
 
 
 class TestCLIResilience:
-    def test_serve_retries_and_timeout_flags(self, tmp_path, capsys, monkeypatch, planted):
-        from repro.cli import main
+    def test_serve_retries_and_timeout_flags(self, tmp_path, planted):
         from repro.io.fasta import write_fasta
 
         query, records, _, _ = planted
         db = tmp_path / "db.fasta"
         write_fasta(records, db)
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(f"scan {query} top=2\nstats\nquit\n")
-        )
-        assert (
-            main(
-                [
-                    "serve",
-                    str(db),
-                    "--workers",
-                    "2",
-                    "--retries",
-                    "1",
-                    "--timeout",
-                    "30",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "rec5" in out
-        assert "pool: healthy" in out
-        assert "served 1 requests" in out
+        flags = ("--workers", "2", "--retries", "1", "--timeout", "30")
+        with ServeProcess(db, *flags) as served:
+            with SearchClient(served.host, served.port) as client:
+                response = client.search(query, QueryOptions(top=2))
+                stats = client.stats()
+            output = served.stop()
+        assert response.report.best().record == "rec5"
+        assert stats["pool"] == "healthy"
+        assert "served 1 requests\n" in output
