@@ -1,80 +1,68 @@
-"""Deterministic chaos harness for the networked search service.
+"""Deterministic chaos harness for the search service.
 
 Fault-tolerance code that is only exercised by the faults production
-happens to throw is untested code.  This module scripts the faults:
-a seeded :class:`ChaosSchedule` decides, per request, whether the
-*network* misbehaves (a frame delayed, severed mid-transmission, or
-corrupted in transit) or a *worker* does (a shard subprocess crashing
-or hanging, via the supervised pool's
-:class:`~repro.service.resilience.FaultPlan`), and when the index is
-hot-reloaded under the traffic.  :func:`run_chaos` drives the whole
-schedule against a **real** :class:`~repro.service.net.TcpSearchServer`
-on a real socket — no mocks between client and engine — and returns a
-:class:`ChaosReport` whose invariants the test suite asserts:
+happens to throw is untested code.  This module scripts the faults
+and judges every run with one checker.
 
-* every request gets exactly one answer (the client's id matching
-  raises on any cross-talk, so a completed run *is* the proof);
-* every answer is bit-identical to the fault-free baseline — the
-  scheduled faults are all recoverable, so retries and supervision
-  must heal them without changing a single ranking;
-* the server drains cleanly afterwards, with zero requests in flight.
+Four seeded fault schedules drive the real service — real sockets,
+real TCP shard nodes, real files — with no mocks between client and
+engine:
+
+* :func:`run_chaos` — per request, a :class:`ChaosSchedule` makes the
+  *network* misbehave (a frame delayed, severed mid-transmission or
+  corrupted in transit) or a *worker* crash or hang (via the
+  supervised pool's :class:`~repro.service.resilience.FaultPlan`), and
+  hot-reloads the index under the traffic, once with a loader that
+  dies mid-load.  :func:`run_reload_storm` swaps generations under
+  genuinely concurrent clients.
+* :func:`run_cluster_chaos` — a :class:`ClusterChaosSchedule` kills
+  shard nodes and severs the network to others while queries flow
+  through a live 3-node :class:`~repro.service.cluster.LocalCluster`.
+* :func:`run_selfheal_chaos` — a seeded kill takes a node down; the
+  :class:`~repro.service.cluster.healthd.HealthMonitor` must eject it,
+  the :class:`~repro.service.cluster.supervisor.ClusterSupervisor`
+  respawn it and probation readmit it within a heartbeat budget.
+* :func:`run_ingest_chaos` — a table of disk faults against the WAL
+  ingest lifecycle: a crash at every labeled
+  :class:`~repro.service.resilience.FaultFS` barrier, torn and short
+  writes, lying fsyncs and ENOSPC/EIO read-only degradation, plus a
+  live TCP server leg.
+
+Every runner returns one :class:`ChaosReport`: one ``(label, outcome,
+expected)`` entry per request or scenario, and the ``violations``
+that :func:`_judge` finds.  The checker's invariants:
+
+* nothing is lost — an exception outcome is a violation (the client's
+  request-id matching raises on cross-talk, so a completed run also
+  proves nothing was double-answered);
+* answers are bit-identical — :func:`response_signature` of every
+  outcome equals that of its expected answer, which is the fault-free
+  single-node baseline whenever nothing is down;
+* degradation is exactly what was injected — with cluster nodes down,
+  the expected coverage and ``degraded_shards`` are computed from the
+  topology's record counts, never from the merge under test;
+* each harness's own promises, as plain-word violations: served ==
+  issued and nothing in flight after drain, worker faults healed by
+  pool retries (never by the engine's in-process fallback), the
+  heal-tick budget and the respawn, the SLO timeline, limiter
+  convergence, the failover trace probe, and for ingest acked ⊆ served
+  and convergence to the fault-free reference.
 
 Two runs with the same seed inject the same faults in the same order.
 Timing still varies, so the invariants are phrased over *outcomes*
-(which are deterministic), never over durations.
+(which are deterministic), never over durations.  Every injection and
+recovery lands in a :class:`ChaosEventLog`, dumped as JSON to the path
+in ``REPRO_CHAOS_LOG`` when it is set.
 
-Every injection and recovery lands in a :class:`ChaosEventLog`; when
-the ``REPRO_CHAOS_LOG`` environment variable names a path the log is
-dumped there as JSON, which is how CI archives the evidence when a
-chaos run fails.
-
-:func:`run_cluster_chaos` extends the same discipline to the
-distributed tier: a seeded schedule kills shard nodes and severs the
-network to others while queries flow through a live 3-node
-:class:`~repro.service.cluster.LocalCluster`, and the invariants are
-the cluster's own promises — no query is lost or double-answered,
-degraded coverage matches the down nodes' spans *exactly*, and every
-answer is bit-identical to a reference merge over the surviving
-nodes' engines.
-
-:func:`run_selfheal_chaos` closes the loop the self-healing tier
-promises: a seeded kill takes a node down, the
-:class:`~repro.service.cluster.healthd.HealthMonitor` ejects it
-within ``eject_after`` heartbeats, the
-:class:`~repro.service.cluster.supervisor.ClusterSupervisor` respawns
-it and reattaches its channel, probation probes readmit it — and the
-invariants are that coverage returns to exactly 1.0 within a bounded
-number of heartbeats, that no query is lost or double-answered across
-the respawn, and that post-heal answers are bit-identical to the
-fault-free baseline.  :func:`limiter_convergence_trace` drives the
-:class:`~repro.service.guard.AdaptiveLimiter` through a deterministic
-slow-node schedule and proves the AIMD loop converges to the node's
-real capacity instead of oscillating or collapsing.
-
-:func:`run_ingest_chaos` turns the same discipline on the *disk*: it
-probes a fault-free WAL ingest run for every labeled
-:class:`~repro.service.resilience.FaultFS` barrier the lifecycle
-crosses (journal create/append/sync, seal rename, delta and manifest
-publish, segment retire), then kills the process at each one and
-recovers over the surviving directory.  The invariants are the
-crash-safe lifecycle's promises: recovery always lands on a
-consistent generation, every *acknowledged* record is served after
-restart (at-least-once — a record durable but unacked may also
-appear), no torn shard is ever visible, and once the interrupted
-records are re-ingested the rankings are bit-identical to a run that
-never crashed.  Torn and short writes, lying fsyncs (the delta
-quarantine path) and ENOSPC/EIO read-only degradation — including a
-live TCP server leg — ride the same schedule.
-
-``python -m repro.service.chaos --seed 7`` runs the harness directly
-and exits nonzero on any invariant violation; add ``--cluster`` to
-run the cluster schedule instead, ``--selfheal`` (optionally with
-``--mode process``) for the kill→eject→respawn→readmit loop, or
-``--ingest`` for the disk-fault crash sweep.
+``python -m repro.service.chaos --seed 7`` runs the single-node
+schedule and exits nonzero on any violation; ``--cluster``,
+``--selfheal`` (optionally with ``--mode process``) and ``--ingest``
+pick the other schedules, and ``--log PATH`` writes the event log.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -112,15 +100,11 @@ __all__ = [
     "ChaosEventLog",
     "ChaosReport",
     "ChaosSchedule",
-    "ClusterChaosReport",
     "ClusterChaosSchedule",
-    "IngestChaosReport",
-    "IngestChaosRun",
     "NET_FAULT_KINDS",
     "NetsplitController",
     "POOL_FAULT_KINDS",
     "CHAOS_LOG_ENV",
-    "SelfHealReport",
     "build_workload",
     "limiter_convergence_trace",
     "response_signature",
@@ -129,7 +113,6 @@ __all__ = [
     "run_ingest_chaos",
     "run_reload_storm",
     "run_selfheal_chaos",
-    "storm_mismatches",
 ]
 
 #: Environment variable naming where the event log is dumped as JSON.
@@ -141,6 +124,33 @@ NET_FAULT_KINDS = ("slow", "sever", "corrupt")
 #: Server-side worker faults (applied via the supervised pool's FaultPlan).
 POOL_FAULT_KINDS = ("crash", "hang")
 
+#: Shards of the chaos workload; worker faults target one of them.
+CHAOS_SHARDS = 4
+
+#: Node kills and netsplits per cluster schedule.
+CLUSTER_KILLS = 1
+CLUSTER_SPLITS = 4
+
+#: The self-heal incident: requests per phase, failing beats before an
+#: ejection, probation beats before readmission, and the heartbeat
+#: budget for the whole arc (one supervisor sweep plus slack for a
+#: slow respawn probe).
+SELFHEAL_REQUESTS_PER_PHASE = 3
+SELFHEAL_EJECT_AFTER = 2
+SELFHEAL_READMIT_AFTER = 1
+SELFHEAL_HEARTBEAT_BUDGET = SELFHEAL_EJECT_AFTER + SELFHEAL_READMIT_AFTER + 3
+
+#: Rounds of the limiter's slow-node schedule, and the final stretch
+#: over which convergence is judged.
+LIMITER_ROUNDS = 60
+LIMITER_SETTLE_ROUNDS = 10
+
+#: Ingest faults that leave the service read-only instead of crashing it.
+READ_ONLY_FAULTS = ("short", "enospc", "eio")
+
+#: Options of every chaos search (the ingest drills rank deeper).
+OPTIONS = QueryOptions(top=5, min_score=1)
+
 
 # ----------------------------------------------------------------------
 # Event log
@@ -150,9 +160,8 @@ class ChaosEventLog:
 
     Events are plain dicts with a monotonically increasing ``seq`` —
     the injection *order* is the reproducible part of a chaos run, so
-    the log captures it explicitly.  :meth:`dump` (and the
-    ``REPRO_CHAOS_LOG`` hook in :func:`run_chaos`) writes the whole
-    log as JSON for CI to archive.
+    the log captures it explicitly.  :meth:`dump` writes the whole log
+    as JSON for CI to archive.
     """
 
     def __init__(self) -> None:
@@ -183,6 +192,120 @@ class ChaosEventLog:
         if not target:
             return None
         return self.dump(target)
+
+
+# ----------------------------------------------------------------------
+# Report and checker
+# ----------------------------------------------------------------------
+def response_signature(response: SearchResponse) -> tuple:
+    """The bit-identity fingerprint of one answer: ranking + coverage."""
+    return (
+        tuple(
+            (hit.record, hit.length, hit.hit.as_tuple())
+            for hit in response.report.hits
+        ),
+        response.coverage,
+        response.degraded_shards,
+    )
+
+
+@dataclass
+class ChaosReport:
+    """What one chaos run did, and every promise it broke.
+
+    ``entries`` holds one ``(label, outcome, expected)`` triple per
+    request or scenario.  A request's outcome is its
+    :class:`SearchResponse` (judged against the expected response) or
+    the exception it ended in; a disk-fault scenario's outcome is a
+    dict of what happened, judged key by key against the expected
+    dict.  ``facts`` are the run's counts for :meth:`summary`.
+    ``violations`` is filled by :func:`_judge` alone, so :attr:`ok`
+    means every invariant held.
+    """
+
+    harness: str
+    seed: int
+    log: ChaosEventLog
+    entries: list[tuple[str, object, object]] = field(default_factory=list)
+    violations: list[str] = field(default_factory=list)
+    facts: dict[str, object] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def summary(self) -> str:
+        facts = " ".join(f"{key}={value}" for key, value in self.facts.items())
+        lines = [
+            f"{self.harness} seed={self.seed}: {facts}; "
+            f"{len(self.violations)} violations"
+        ]
+        for label, outcome, _expected in self.entries:
+            if isinstance(outcome, dict):  # one line per disk-fault scenario
+                row = " ".join(f"{key}={value}" for key, value in outcome.items())
+                lines.append(f"  {label}: {row}")
+        lines.extend(f"  violation: {problem}" for problem in self.violations)
+        return "\n".join(lines)
+
+
+def _judge(report: ChaosReport, promises: dict[str, bool]) -> ChaosReport:
+    """The one invariant checker: fill ``report.violations``, dump the log.
+
+    Every entry is judged the same way — an exception is a lost
+    request, a response must match its expected response's signature,
+    a scenario dict must agree with every key of its expected dict.
+    ``promises`` maps each harness-specific promise, in plain words,
+    to whether it held.
+    """
+    for label, outcome, expected in report.entries:
+        if isinstance(outcome, Exception):
+            report.violations.append(f"{label}: lost ({outcome!r})")
+        elif isinstance(outcome, dict):
+            report.violations.extend(
+                f"{label}: {key}={outcome.get(key)!r}, expected {want!r}"
+                for key, want in expected.items()
+                if outcome.get(key) != want
+            )
+        else:
+            got, want = response_signature(outcome), response_signature(expected)
+            if got[0] != want[0]:
+                report.violations.append(f"{label}: ranking differs from the reference")
+            elif got != want:
+                report.violations.append(
+                    f"{label}: coverage/degraded {got[1:]}, expected {want[1:]}"
+                )
+    report.violations.extend(promise for promise, held in promises.items() if not held)
+    report.log.dump_env()
+    return report
+
+
+def _ask(
+    report: ChaosReport,
+    label: str,
+    client: object,
+    query: str,
+    expected: SearchResponse,
+    **where: object,
+) -> None:
+    """Issue one search and enter its outcome in ``report``."""
+    try:
+        outcome = client.search(query, OPTIONS)
+        report.log.record("answered", **where, coverage=outcome.coverage)
+    except Exception as exc:  # noqa: BLE001 - judged by the report
+        outcome = exc
+        report.log.record("request-failed", **where, error=str(exc))
+    report.entries.append((label, outcome, expected))
+
+
+def _drain_promises(
+    served: int, issued: int, inflight: int, generation: int, reloads: int
+) -> dict[str, bool]:
+    """A single-node server answered everything and drained clean."""
+    return {
+        f"server served {served} of {issued} requests": served == issued,
+        f"{inflight} requests in flight after drain": inflight == 0,
+        f"generation {generation} after {reloads} reloads": generation == 1 + reloads,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +349,7 @@ class ChaosSchedule:
         seed: int,
         requests: int,
         fault_rate: float = 0.35,
-        shards: int = 4,
         reloads: int = 2,
-        include_failed_reload: bool = True,
     ) -> None:
         if requests < 1:
             raise ValueError(f"requests must be positive, got {requests}")
@@ -243,7 +364,7 @@ class ChaosSchedule:
             if rng.random() < fault_rate:
                 self.actions[i] = ChaosAction(
                     kind=rng.choice(kinds),
-                    shard_id=rng.randrange(shards),
+                    shard_id=rng.randrange(CHAOS_SHARDS),
                     seconds=0.02 + rng.random() * 0.05,
                 )
         eligible = list(range(requests - 1))
@@ -251,7 +372,7 @@ class ChaosSchedule:
         n_reloads = min(reloads, len(eligible))
         self.reload_after = frozenset(eligible[:n_reloads])
         self.failed_reload_after: int | None = None
-        if include_failed_reload and len(eligible) > n_reloads:
+        if len(eligible) > n_reloads:
             self.failed_reload_after = eligible[n_reloads]
 
     def action_for(self, request_index: int) -> ChaosAction | None:
@@ -350,13 +471,13 @@ class ChaosConnectionFactory:
 
 
 # ----------------------------------------------------------------------
-# Workload
+# Workload and references
 # ----------------------------------------------------------------------
 def build_workload(
     seed: int = 0,
     n_records: int = 12,
     record_bp: int = 160,
-    shards: int = 4,
+    shards: int = CHAOS_SHARDS,
     n_queries: int = 6,
 ) -> tuple[list[str], DatabaseIndex, Callable[[], DatabaseIndex]]:
     """A deterministic database + query set + rebuildable loader.
@@ -382,80 +503,63 @@ def build_workload(
     return queries, loader(), loader
 
 
-# ----------------------------------------------------------------------
-# Reports
-# ----------------------------------------------------------------------
-def response_signature(response: SearchResponse) -> tuple:
-    """The bit-identity fingerprint of one answer: ranking + coverage."""
-    return (
-        tuple(
-            (hit.record, hit.length, hit.hit.as_tuple())
-            for hit in response.report.hits
-        ),
-        response.coverage,
-        response.degraded_shards,
-    )
+def _baseline(
+    queries: list[str], loader: Callable[[], DatabaseIndex]
+) -> dict[str, SearchResponse]:
+    """Fault-free answers of a plain inline engine, by query."""
+    engine = SearchEngine(loader(), cache=ResultCache(0))
+    return {query: engine.search(query, OPTIONS) for query in queries}
 
 
-@dataclass
-class ChaosReport:
-    """Everything a chaos run produced, for the tests to judge."""
+def _reference_cluster(
+    index: DatabaseIndex, nodes: int, baseline: dict[str, SearchResponse]
+) -> tuple[list[int], Callable[[str, set[int]], SearchResponse]]:
+    """The non-empty node ids, and what a cluster must answer with ``down`` dead.
 
-    schedule: ChaosSchedule
-    queries: list[str]
-    outcomes: list[SearchResponse | Exception]
-    baseline: list[SearchResponse]
-    log: ChaosEventLog
-    injected_net_faults: int
-    served: int
-    final_health: dict
-    final_generation: int
-    reloads_done: int
-    drained_inflight: int = 0
-    events_dumped_to: Path | None = None
+    With nothing down the answer is the single-node ``baseline``.
+    Otherwise the ranking is a merge over inline engines of the
+    reachable nodes (the same deterministic partition the cluster
+    serves), while coverage and ``degraded_shards`` are computed from
+    the topology's record counts — never from the merge under test.
+    """
+    from .cluster import NodeAnswer, merge_node_responses
+    from .cluster.topology import partition_index
 
-    @property
-    def failures(self) -> list[tuple[int, Exception]]:
-        """Requests that ended in an exception instead of an answer."""
-        return [
-            (i, outcome)
-            for i, outcome in enumerate(self.outcomes)
-            if isinstance(outcome, Exception)
+    topology, parts = partition_index(index, nodes)
+    engines = {
+        spec.node_id: SearchEngine(part, cache=ResultCache(0))
+        for spec, part in zip(topology.nodes, parts)
+        if not spec.empty
+    }
+
+    def expected(query: str, down: set[int]) -> SearchResponse:
+        if not down:
+            return baseline[query]
+        live = [
+            NodeAnswer(node_id=nid, response=engine.search(query, OPTIONS))
+            for nid, engine in engines.items()
+            if nid not in down
         ]
-
-    def mismatches(self) -> list[int]:
-        """Request indices whose answer differs from the baseline's."""
-        bad = []
-        for i, outcome in enumerate(self.outcomes):
-            if isinstance(outcome, Exception):
-                bad.append(i)
-                continue
-            expected = self.baseline[i % len(self.baseline)]
-            if response_signature(outcome) != response_signature(expected):
-                bad.append(i)
-        return bad
-
-    def summary(self) -> str:
-        return (
-            f"chaos seed={self.schedule.seed}: {len(self.outcomes)} requests, "
-            f"{len(self.schedule.actions)} scheduled faults "
-            f"({self.injected_net_faults} net), {self.reloads_done} reloads, "
-            f"{len(self.failures)} failures, {len(self.mismatches())} mismatches, "
-            f"served={self.served}, generation={self.final_generation}, "
-            f"inflight after drain={self.drained_inflight}"
+        lost = sorted(down & engines.keys())
+        total = topology.total_records
+        covered = total - sum(topology.node(nid).records for nid in lost)
+        return dataclasses.replace(
+            merge_node_responses(query.upper(), live, topology, OPTIONS),
+            coverage=covered / total,
+            degraded_shards=tuple(lost),
         )
 
+    return sorted(engines), expected
+
 
 # ----------------------------------------------------------------------
-# The harness
+# Single-node chaos
 # ----------------------------------------------------------------------
 def run_chaos(
     seed: int = 0,
     requests: int = 24,
     fault_rate: float = 0.35,
-    shards: int = 4,
     reloads: int = 2,
-    log: ChaosEventLog | None = None,
 ) -> ChaosReport:
     """Drive one seeded chaos schedule against a real TCP server.
 
@@ -466,18 +570,12 @@ def run_chaos(
     response, so the assignment cannot leak onto a neighbour's sweep);
     network faults are armed on the connection factory the same way.
     """
-    log = log if log is not None else ChaosEventLog()
-    schedule = ChaosSchedule(
-        seed, requests, fault_rate=fault_rate, shards=shards, reloads=reloads
-    )
+    report = ChaosReport("chaos", seed, ChaosEventLog())
+    log = report.log
+    schedule = ChaosSchedule(seed, requests, fault_rate=fault_rate, reloads=reloads)
     log.record("schedule", **schedule.to_payload())
-    queries, index, loader = build_workload(seed=seed, shards=shards)
-    options = QueryOptions(top=5, min_score=1)
-
-    # Fault-free baseline: the plain inline engine is the reference the
-    # chaos run's every answer must match bit for bit.
-    baseline_engine = SearchEngine(loader(), cache=ResultCache(0))
-    baseline = [baseline_engine.search(q, options) for q in queries]
+    queries, index, loader = build_workload(seed=seed)
+    baseline = _baseline(queries, loader)
 
     pool = SupervisedWorkerPool(
         workers=2,
@@ -488,7 +586,6 @@ def run_chaos(
     manager = IndexManager(index=index, loader=loader)
     engine = SearchEngine(manager, pool=pool, cache=ResultCache(0))
     factory = ChaosConnectionFactory(log)
-    outcomes: list[SearchResponse | Exception] = []
     reloads_done = 0
 
     with ServerThread(engine, config=ServerConfig(batch_window=0.0)) as handle:
@@ -518,11 +615,7 @@ def run_chaos(
                             [Fault(action.kind, action.shard_id, times=1, seconds=hang)]
                         )
                 try:
-                    outcomes.append(client.search(query, options))
-                    log.record("answered", request=i)
-                except Exception as exc:  # noqa: BLE001 - judged by the report
-                    outcomes.append(exc)
-                    log.record("request-failed", request=i, error=str(exc))
+                    _ask(report, f"request {i}", client, query, baseline[query], request=i)
                 finally:
                     pool.fault_plan = None
                 if i == schedule.failed_reload_after:
@@ -544,32 +637,36 @@ def run_chaos(
                     generation = client.reload()
                     reloads_done += 1
                     log.record("reload", request=i, generation=generation)
-            final_health = dict(client.health())
+            health = dict(client.health())
         finally:
             client.close()
         served = handle.server.served
-    drained_inflight = handle.server._inflight
+    inflight = handle.server._inflight
     log.record(
         "drained",
         served=served,
-        inflight=drained_inflight,
+        inflight=inflight,
         generation=manager.generation,
+        health=health,
     )
-    report = ChaosReport(
-        schedule=schedule,
-        queries=queries,
-        outcomes=outcomes,
-        baseline=baseline,
-        log=log,
-        injected_net_faults=factory.injected,
+    pool_faults = sum(a.kind in POOL_FAULT_KINDS for a in schedule.actions.values())
+    report.facts.update(
+        requests=requests,
+        faults=len(schedule.actions),
+        net_faults=factory.injected,
+        reloads=reloads_done,
         served=served,
-        final_health=final_health,
-        final_generation=manager.generation,
-        reloads_done=reloads_done,
-        drained_inflight=drained_inflight,
+        generation=manager.generation,
+        inflight=inflight,
+        pool_retries=pool.retries_total,
+        fallback_sweeps=engine.fallback_sweeps,
     )
-    report.events_dumped_to = log.dump_env()
-    return report
+    fallback, retries = engine.fallback_sweeps, pool.retries_total
+    return _judge(report, {
+        **_drain_promises(served, requests, inflight, manager.generation, reloads_done),
+        f"{fallback} sweeps healed by the in-process fallback": fallback == 0,
+        f"{retries} pool retries for {pool_faults} worker faults": retries >= pool_faults,
+    })
 
 
 def run_reload_storm(
@@ -583,32 +680,30 @@ def run_reload_storm(
     ``threads`` clients hammer the server while the main thread swaps
     index generations between their requests.  Thread interleaving is
     not deterministic — the *invariants* are: every request answers,
-    every answer matches the baseline (old and new generations have
-    identical content), and the final generation is ``1 + reloads``.
+    every answer matches its query's baseline (old and new generations
+    have identical content), and the final generation is
+    ``1 + reloads``.
     """
-    log = ChaosEventLog()
+    report = ChaosReport("reload-storm", seed, ChaosEventLog())
     queries, index, loader = build_workload(seed=seed)
-    options = QueryOptions(top=5, min_score=1)
-    baseline_engine = SearchEngine(loader(), cache=ResultCache(0))
-    baseline = [baseline_engine.search(q, options) for q in queries]
-
+    baseline = _baseline(queries, loader)
     manager = IndexManager(index=index, loader=loader)
     engine = SearchEngine(manager, cache=ResultCache(128))
-    outcomes_by_thread: dict[int, list[SearchResponse | Exception]] = {}
-    reloads_done = 0
+    entries_by_thread: dict[int, list[tuple[str, object, object]]] = {}
 
     with ServerThread(engine) as handle:
 
         def hammer(worker: int) -> None:
-            results: list[SearchResponse | Exception] = []
+            entries = []
             with SearchClient(handle.host, handle.port, timeout=15.0) as client:
                 for r in range(requests_per_thread):
                     query = queries[(worker + r) % len(queries)]
                     try:
-                        results.append(client.search(query, options))
+                        outcome = client.search(query, OPTIONS)
                     except Exception as exc:  # noqa: BLE001 - judged later
-                        results.append(exc)
-            outcomes_by_thread[worker] = results
+                        outcome = exc
+                    entries.append((f"thread {worker} request {r}", outcome, baseline[query]))
+            entries_by_thread[worker] = entries
 
         workers = [
             threading.Thread(target=hammer, args=(w,), daemon=True)
@@ -619,52 +714,25 @@ def run_reload_storm(
         with SearchClient(handle.host, handle.port, timeout=15.0) as admin:
             for _ in range(reloads):
                 time.sleep(0.02)
-                generation = admin.reload()
-                reloads_done += 1
-                log.record("reload", generation=generation)
+                report.log.record("reload", generation=admin.reload())
             for thread in workers:
                 thread.join(timeout=60)
-            final_health = dict(admin.health())
         served = handle.server.served
-    # Outcomes keep thread-major order; signatures are order-insensitive
-    # because every outcome is judged against its own query's baseline.
-    outcomes: list[SearchResponse | Exception] = []
-    flat_queries: list[str] = []
     for worker in range(threads):
-        for r, outcome in enumerate(outcomes_by_thread.get(worker, [])):
-            outcomes.append(outcome)
-            flat_queries.append(queries[(worker + r) % len(queries)])
-    schedule = ChaosSchedule(
-        seed, max(len(outcomes), 1), fault_rate=0.0, reloads=0,
-        include_failed_reload=False,
-    )
-    report = ChaosReport(
-        schedule=schedule,
-        queries=flat_queries,
-        outcomes=outcomes,
-        baseline=baseline,
-        log=log,
-        injected_net_faults=0,
+        report.entries.extend(entries_by_thread.get(worker, []))
+    inflight = handle.server._inflight
+    report.facts.update(
+        requests=len(report.entries),
+        reloads=reloads,
         served=served,
-        final_health=final_health,
-        final_generation=manager.generation,
-        reloads_done=reloads_done,
-        drained_inflight=handle.server._inflight,
+        generation=manager.generation,
+        inflight=inflight,
     )
-    report.events_dumped_to = log.dump_env()
-    return report
-
-
-def storm_mismatches(report: ChaosReport) -> list[int]:
-    """Reload-storm mismatches, judged per query (thread order is free)."""
-    by_query = {b.query: response_signature(b) for b in report.baseline}
-    bad = []
-    for i, outcome in enumerate(report.outcomes):
-        if isinstance(outcome, Exception):
-            bad.append(i)
-        elif response_signature(outcome) != by_query[outcome.query]:
-            bad.append(i)
-    return bad
+    issued = threads * requests_per_thread
+    return _judge(
+        report,
+        _drain_promises(served, issued, inflight, manager.generation, reloads),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -683,14 +751,7 @@ class ClusterChaosSchedule:
     degraded, never lost.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        requests: int,
-        nodes: int = 3,
-        kills: int = 1,
-        splits: int = 4,
-    ) -> None:
+    def __init__(self, seed: int, requests: int, nodes: int = 3) -> None:
         if requests < 2:
             raise ValueError(f"requests must be at least 2, got {requests}")
         if nodes < 2:
@@ -699,14 +760,14 @@ class ClusterChaosSchedule:
         self.requests = requests
         self.nodes = nodes
         rng = random.Random(f"cluster-chaos:{seed}")
-        kills = min(kills, nodes - 2) if nodes > 2 else 0
+        kills = min(CLUSTER_KILLS, nodes - 2) if nodes > 2 else 0
         kill_nodes = rng.sample(range(nodes), kills)
         kill_indices = rng.sample(range(1, requests), kills) if kills else []
         self.kill_at: dict[int, int] = dict(zip(kill_indices, kill_nodes))
         self.split_at: dict[int, int] = {}
         eligible = [i for i in range(requests) if i not in self.kill_at]
         rng.shuffle(eligible)
-        for i in eligible[: min(splits, len(eligible))]:
+        for i in eligible[: min(CLUSTER_SPLITS, len(eligible))]:
             candidates = [n for n in range(nodes) if n not in self.down_at(i)]
             if len(candidates) < 2:
                 continue  # splitting would leave nobody standing
@@ -743,10 +804,10 @@ class _SplitClient(SearchClient):
         self._controller = controller
         super().__init__(address, **kwargs)
 
-    def search(self, query, options=None, trace_id=None, parent_span=None, **legacy):
+    def search(self, query, options=None, *, trace_id=None, parent_span=None):
         self._controller.check(self._split_address)
         return super().search(
-            query, options, trace_id=trace_id, parent_span=parent_span, **legacy
+            query, options, trace_id=trace_id, parent_span=parent_span
         )
 
     def search_pipelined(self, queries, options=None, trace_id=None, parent_span=None):
@@ -799,151 +860,19 @@ class NetsplitController:
         return _SplitClient(address, self, **kwargs)
 
 
-@dataclass
-class ClusterChaosReport:
-    """Everything a cluster chaos run produced, for the tests to judge.
-
-    ``expected`` holds, per request, the reference answer: a merge
-    over inline per-node engines restricted to the nodes the schedule
-    left reachable.  Coverage, ``degraded_shards`` and the ranking are
-    all part of :func:`response_signature`, so a mismatch of *any* of
-    them — a lost span, a wrongly blamed node, a reordered hit — lands
-    in :meth:`mismatches`.
-    """
-
-    schedule: ClusterChaosSchedule
-    queries: list[str]
-    outcomes: list["SearchResponse | Exception"]
-    expected: list[SearchResponse]
-    baseline: list[SearchResponse]
-    log: ChaosEventLog
-    killed: list[int]
-    severed: int
-    final_health: dict
-    failover_probe: dict = field(default_factory=dict)
-    events_dumped_to: Path | None = None
-
-    @property
-    def failures(self) -> list[tuple[int, Exception]]:
-        """Requests that raised — with a survivor guaranteed, all bugs."""
-        return [
-            (i, outcome)
-            for i, outcome in enumerate(self.outcomes)
-            if isinstance(outcome, Exception)
-        ]
-
-    def mismatches(self) -> list[int]:
-        """Requests whose answer differs from the reference merge."""
-        bad = []
-        for i, outcome in enumerate(self.outcomes):
-            if isinstance(outcome, Exception):
-                bad.append(i)
-            elif response_signature(outcome) != response_signature(self.expected[i]):
-                bad.append(i)
-        return bad
-
-    def span_violations(self) -> list[dict]:
-        """Requests where degradation does not match the down spans.
-
-        The ISSUE-level invariant, asserted directly rather than via
-        the signature: a request issued while nodes D are down must
-        report ``coverage == 1 - |records(D)| / total`` and name
-        exactly the non-empty members of D in ``degraded_shards``.
-        """
-        violations = []
-        for i, outcome in enumerate(self.outcomes):
-            if isinstance(outcome, Exception):
-                continue
-            expected = self.expected[i]
-            if (
-                outcome.coverage != expected.coverage
-                or outcome.degraded_shards != expected.degraded_shards
-            ):
-                violations.append(
-                    {
-                        "request": i,
-                        "coverage": outcome.coverage,
-                        "expected_coverage": expected.coverage,
-                        "degraded": outcome.degraded_shards,
-                        "expected_degraded": expected.degraded_shards,
-                    }
-                )
-        return violations
-
-    def trace_violations(self) -> list[str]:
-        """Broken stitched-trace promises from the failover probe.
-
-        The probe kills a replicated node's primary and issues one
-        traced query; the stitched trace must exist, and the
-        ``failover`` event must sit on the *victim's* ``node.search``
-        span — and on no other node's.
-        """
-        probe = self.failover_probe
-        if not probe:
-            return []
-        problems = []
-        if not probe.get("trace_id"):
-            problems.append("failover probe produced no trace id")
-        if not probe.get("stitched"):
-            problems.append("failover probe trace was not stitched")
-        victim = probe.get("victim")
-        events = probe.get("events_by_node", {})
-        if "failover" not in events.get(victim, ()):
-            problems.append(
-                f"no failover event on victim node {victim}'s span "
-                f"(events: {events})"
-            )
-        for node, names in events.items():
-            if node != victim and "failover" in names:
-                problems.append(
-                    f"failover event wrongly attributed to node {node}"
-                )
-        if probe.get("coverage") != 1.0:
-            problems.append(
-                f"replica did not preserve coverage ({probe.get('coverage')})"
-            )
-        return problems
-
-    def clean_mismatches(self) -> list[int]:
-        """Fault-free requests that differ from the single-node baseline."""
-        bad = []
-        for i, outcome in enumerate(self.outcomes):
-            if self.schedule.down_at(i):
-                continue
-            expected = self.baseline[i % len(self.baseline)]
-            if isinstance(outcome, Exception) or response_signature(
-                outcome
-            ) != response_signature(expected):
-                bad.append(i)
-        return bad
-
-    def summary(self) -> str:
-        return (
-            f"cluster chaos seed={self.schedule.seed}: "
-            f"{len(self.outcomes)} requests over {self.schedule.nodes} nodes, "
-            f"{len(self.killed)} kills, {self.severed} splits, "
-            f"{len(self.failures)} failures, {len(self.mismatches())} mismatches, "
-            f"{len(self.span_violations())} span violations, "
-            f"{len(self.trace_violations())} trace violations, "
-            f"nodes up at end={self.final_health.get('nodes_up')}"
-        )
-
-
-def _failover_trace_probe(seed: int, log: ChaosEventLog) -> dict:
+def _failover_trace_probe(seed: int, log: ChaosEventLog) -> dict[str, bool]:
     """Kill a replicated primary; pin the failover to its trace span.
 
     A compact, fully observable incident: a 2-node cluster with one
     replica per node, the victim's primary killed, one *traced* query.
-    The replica answers (coverage stays 1.0) and the ``failover``
-    event must land on the victim's ``node.search`` span — and only
-    there.  :meth:`ClusterChaosReport.trace_violations` judges the
-    returned facts.
+    The replica must answer at full coverage, the stitched trace must
+    exist, and the ``failover`` event must land on the victim's
+    ``node.search`` span — and only there.  Returns those promises.
     """
     from ..obs import Observability
     from .cluster import LocalCluster
 
     queries, index, _loader = build_workload(seed=seed)
-    options = QueryOptions(top=5, min_score=1)
     victim = 0
     with LocalCluster(
         index,
@@ -956,54 +885,41 @@ def _failover_trace_probe(seed: int, log: ChaosEventLog) -> dict:
         with cluster.client(breaker_factory=None, gather_timeout=15.0) as client:
             cluster.kill_node(victim)
             log.record("trace-probe.kill", node=victim)
-            response = client.search(queries[0], options)
+            response = client.search(queries[0], OPTIONS)
             trace_id = client.last_trace_id
             tree = client.trace_tree(trace_id) if trace_id else None
-            events_by_node: dict[int, tuple[str, ...]] = {}
-            stitched = False
-            if tree is not None:
-                for span in tree.walk():
-                    if span.name != "node.search":
-                        continue
-                    node = span.attrs.get("node")
-                    events_by_node[node] = tuple(e.name for e in span.events)
-                    if span.attrs.get("stitched"):
-                        stitched = True
-            probe = {
-                "victim": victim,
-                "trace_id": trace_id,
-                "stitched": stitched,
-                "coverage": response.coverage,
-                "events_by_node": events_by_node,
-            }
-            log.record("trace-probe.result", **{
-                **probe,
-                "events_by_node": {
-                    str(n): list(names) for n, names in events_by_node.items()
-                },
-            })
-            return probe
+    events: dict[int, list[str]] = {}
+    stitched = False
+    for span in tree.walk() if tree is not None else ():
+        if span.name == "node.search":
+            events[span.attrs.get("node")] = [e.name for e in span.events]
+            stitched = stitched or bool(span.attrs.get("stitched"))
+    log.record(
+        "trace-probe.result",
+        victim=victim,
+        trace_id=trace_id,
+        stitched=stitched,
+        coverage=response.coverage,
+        events_by_node={str(node): names for node, names in events.items()},
+    )
+    return {
+        "failover probe produced no trace id": bool(trace_id),
+        "failover probe trace was not stitched": stitched,
+        f"no failover event on victim node {victim}'s span (events: {events})":
+            "failover" in events.get(victim, ()),
+        f"failover event attributed to a node other than {victim} (events: {events})":
+            not any("failover" in names for node, names in events.items() if node != victim),
+        f"replica did not preserve coverage ({response.coverage})": response.coverage == 1.0,
+    }
 
 
-def run_cluster_chaos(
-    seed: int = 0,
-    requests: int = 18,
-    nodes: int = 3,
-    kills: int = 1,
-    splits: int = 4,
-    log: ChaosEventLog | None = None,
-) -> ClusterChaosReport:
+def run_cluster_chaos(seed: int = 0, requests: int = 18, nodes: int = 3) -> ChaosReport:
     """Drive a seeded kill/netsplit schedule against a live cluster.
 
     Every request goes through a real :class:`ClusterCoordinator` over
-    real TCP shard nodes (:class:`LocalCluster` in thread mode).  The
-    reference answer for each request is computed inline by merging
-    per-node engine answers restricted to the reachable nodes — the
-    cluster's response must match it bit for bit, which simultaneously
-    proves "no lost queries" (an exception is a failure), "no
-    double-answered queries" (the client's request-id matching raises
-    on cross-talk, so a completed run is the proof), and "degradation
-    is exactly the down spans".
+    real TCP shard nodes (:class:`LocalCluster` in thread mode) and is
+    judged against :func:`_reference_cluster`'s answer for the nodes
+    the schedule left reachable.
 
     Breakers are disabled for the run: the expected degraded set must
     be a pure function of the schedule, and a breaker that stays open
@@ -1012,38 +928,20 @@ def run_cluster_chaos(
     harness.  The breaker's own state machine is tested in
     ``test_guard.py``.
     """
-    from .cluster import LocalCluster, NodeAnswer, merge_node_responses
-    from .cluster.topology import partition_index
+    from .cluster import LocalCluster
 
-    log = log if log is not None else ChaosEventLog()
-    schedule = ClusterChaosSchedule(
-        seed, requests, nodes=nodes, kills=kills, splits=splits
-    )
+    report = ChaosReport("cluster chaos", seed, ChaosEventLog())
+    log = report.log
+    schedule = ClusterChaosSchedule(seed, requests, nodes=nodes)
     log.record("cluster-schedule", **schedule.to_payload())
     queries, index, loader = build_workload(seed=seed)
-    options = QueryOptions(top=5, min_score=1)
-    baseline_engine = SearchEngine(loader(), cache=ResultCache(0))
-    baseline = [baseline_engine.search(q, options) for q in queries]
-
-    # Reference cluster: the same deterministic partition, served by
-    # inline engines the harness can consult with any subset of nodes.
-    ref_topology, parts = partition_index(index, nodes)
-    ref_engines = {
-        spec.node_id: SearchEngine(part, cache=ResultCache(0))
-        for spec, part in zip(ref_topology.nodes, parts)
-        if not spec.empty
-    }
-
+    _live, expected = _reference_cluster(index, nodes, _baseline(queries, loader))
     controller = NetsplitController(log)
-    outcomes: list[SearchResponse | Exception] = []
-    expected: list[SearchResponse] = []
     killed: list[int] = []
-    issued: list[str] = []
 
     with LocalCluster(index, nodes=nodes, mode="thread", batch_window=0.0) as cluster:
-        topology = cluster.topology()
         address_of = {
-            node.node_id: node.address for node in topology.active_nodes
+            node.node_id: node.address for node in cluster.topology().active_nodes
         }
         with cluster.client(
             client_factory=controller.client_factory,
@@ -1061,243 +959,68 @@ def run_cluster_chaos(
                     controller.sever(address_of[split])
                     log.record("net.split", request=i, node=split)
                 query = queries[i % len(queries)]
-                issued.append(query)
                 try:
-                    outcomes.append(client.search(query, options))
-                    log.record("answered", request=i)
-                except Exception as exc:  # noqa: BLE001 - judged by the report
-                    outcomes.append(exc)
-                    log.record("request-failed", request=i, error=str(exc))
+                    want = expected(query, schedule.down_at(i))
+                    _ask(report, f"request {i}", client, query, want, request=i)
                 finally:
                     if split is not None:
                         controller.heal(address_of[split])
                         log.record("net.heal", request=i, node=split)
-                down = schedule.down_at(i)
-                live = [
-                    NodeAnswer(node_id=nid, response=engine.search(query, options))
-                    for nid, engine in ref_engines.items()
-                    if nid not in down
-                ]
-                expected.append(
-                    merge_node_responses(query.upper(), live, ref_topology, options)
-                )
-            final_health = dict(client.health())
-    log.record(
-        "cluster-drained",
-        killed=sorted(killed),
-        severed=controller.severed,
-    )
-    # The main loop runs without replicas (the reference merge is a
+            nodes_up = client.health().get("nodes_up")
+    log.record("cluster-drained", killed=sorted(killed), severed=controller.severed)
+    # The main loop runs without replicas (the expected answers are a
     # pure function of the schedule); the failover-attribution promise
     # needs a replica, so it gets its own compact probe.
-    failover_probe = _failover_trace_probe(seed, log)
-    report = ClusterChaosReport(
-        schedule=schedule,
-        queries=issued,
-        outcomes=outcomes,
-        expected=expected,
-        baseline=baseline,
-        log=log,
-        killed=killed,
-        severed=controller.severed,
-        final_health=final_health,
-        failover_probe=failover_probe,
+    promises = _failover_trace_probe(seed, log)
+    report.facts.update(
+        requests=requests,
+        nodes=nodes,
+        kills=len(killed),
+        splits=controller.severed,
+        nodes_up=nodes_up,
     )
-    report.events_dumped_to = log.dump_env()
-    return report
+    return _judge(report, promises)
 
 
 # ----------------------------------------------------------------------
-# Self-heal chaos: kill → eject → respawn → readmit, with invariants
+# Self-heal chaos: kill → eject → respawn → readmit
 # ----------------------------------------------------------------------
-@dataclass
-class SelfHealReport:
-    """One kill→heal incident, phase by phase, for the tests to judge.
-
-    Phases: ``steady`` (all nodes up), ``down`` (the victim killed and
-    ejected), ``healed`` (respawned, reattached, readmitted).  Every
-    phase's outcomes are judged against reference answers computed
-    inline over the nodes that phase leaves reachable, so degraded
-    coverage during ``down`` and bit-identical full coverage after
-    ``healed`` are both part of the same check.
-    """
-
-    mode: str
-    seed: int
-    victim: int
-    outcomes: dict[str, list[SearchResponse | Exception]]
-    expected: dict[str, list[SearchResponse]]
-    coverage_timeline: list[dict]
-    ticks_to_eject: int
-    ticks_to_recover: int
-    heartbeat_budget: int
-    respawned: list[int]
-    issued: int
-    answered: int
-    final_health: dict
-    log: ChaosEventLog
-    #: Per phase, the SLO objectives firing at phase end (burn-rate
-    #: view of the same incident the coverage timeline shows).
-    slo_timeline: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    events_dumped_to: Path | None = None
-
-    @property
-    def failures(self) -> list[tuple[str, int, Exception]]:
-        """Requests that raised — a survivor is guaranteed, so all bugs."""
-        return [
-            (phase, i, outcome)
-            for phase, results in self.outcomes.items()
-            for i, outcome in enumerate(results)
-            if isinstance(outcome, Exception)
-        ]
-
-    def mismatches(self) -> list[tuple[str, int]]:
-        """Answers that differ from their phase's reference merge."""
-        bad = []
-        for phase, results in self.outcomes.items():
-            for i, outcome in enumerate(results):
-                if isinstance(outcome, Exception):
-                    bad.append((phase, i))
-                elif response_signature(outcome) != response_signature(
-                    self.expected[phase][i]
-                ):
-                    bad.append((phase, i))
-        return bad
-
-    def heal_violations(self) -> list[str]:
-        """Broken self-healing promises, in plain words."""
-        problems = []
-        if self.ticks_to_recover > self.heartbeat_budget:
-            problems.append(
-                f"recovery took {self.ticks_to_recover} heartbeats "
-                f"(budget {self.heartbeat_budget})"
-            )
-        if self.victim not in self.respawned:
-            problems.append(f"supervisor never respawned node {self.victim}")
-        for i, outcome in enumerate(self.outcomes.get("healed", [])):
-            if isinstance(outcome, Exception):
-                problems.append(f"healed request {i} failed: {outcome}")
-            elif outcome.coverage != 1.0:
-                problems.append(
-                    f"healed request {i} still degraded "
-                    f"(coverage {outcome.coverage:.3f})"
-                )
-        for i, outcome in enumerate(self.outcomes.get("down", [])):
-            if isinstance(outcome, Exception):
-                continue  # already a failure
-            if outcome.coverage >= 1.0:
-                problems.append(
-                    f"down-phase request {i} claims full coverage with "
-                    f"node {self.victim} dead"
-                )
-        if self.answered != self.issued:
-            problems.append(
-                f"{self.issued} requests issued but {self.answered} answered "
-                "(lost or double-answered)"
-            )
-        return problems
-
-    def slo_violations(self) -> list[str]:
-        """Broken burn-rate promises: fire during the outage, clear after.
-
-        Empty when the run attached no tracker (``slo_timeline`` unset).
-        """
-        if not self.slo_timeline:
-            return []
-        problems = []
-        if self.slo_timeline.get("steady"):
-            problems.append(
-                f"SLO firing in steady state: {self.slo_timeline['steady']}"
-            )
-        if "coverage" not in self.slo_timeline.get("down", ()):
-            problems.append(
-                "coverage SLO did not fire during the outage "
-                f"(firing: {self.slo_timeline.get('down')})"
-            )
-        if self.slo_timeline.get("healed"):
-            problems.append(
-                f"SLO still firing after heal: {self.slo_timeline['healed']}"
-            )
-        return problems
-
-    def summary(self) -> str:
-        return (
-            f"selfheal seed={self.seed} mode={self.mode}: victim={self.victim}, "
-            f"eject after {self.ticks_to_eject} beats, recovered after "
-            f"{self.ticks_to_recover} beats (budget {self.heartbeat_budget}), "
-            f"{len(self.failures)} failures, {len(self.mismatches())} mismatches, "
-            f"{len(self.heal_violations())} heal violations, "
-            f"{len(self.slo_violations())} slo violations"
-        )
-
-
-def run_selfheal_chaos(
-    seed: int = 0,
-    nodes: int = 3,
-    mode: str = "thread",
-    requests_per_phase: int = 3,
-    eject_after: int = 2,
-    readmit_after: int = 1,
-    heartbeat_budget: int | None = None,
-    log: ChaosEventLog | None = None,
-) -> SelfHealReport:
+def run_selfheal_chaos(seed: int = 0, nodes: int = 3, mode: str = "thread") -> ChaosReport:
     """Kill a seeded node; prove the tier heals itself within budget.
 
-    The heartbeat loop is driven *synchronously* (``monitor.tick()``
-    between request phases) rather than on its background thread, so
-    "within N heartbeats" is a deterministic count, not a race.  The
-    supervisor likewise heals via one explicit ``check_once()`` sweep.
-    The production wiring — the same objects on their daemon threads —
-    is exercised by the integration tests; this harness proves the
-    *logic* heals, with the clock taken out of the verdict.
+    Three phases of requests: ``steady`` (all nodes up), ``down`` (the
+    victim killed and ejected) and ``healed`` (respawned, reattached,
+    readmitted), each judged against the answers for the nodes it
+    leaves reachable.  The heartbeat loop is driven *synchronously*
+    (``monitor.tick()`` between phases) rather than on its background
+    thread, so "within N heartbeats" is a deterministic count, not a
+    race; the supervisor likewise heals via one explicit
+    ``check_once()`` sweep.  The production wiring — the same objects
+    on their daemon threads — is exercised by the integration tests;
+    this harness proves the *logic* heals, with the clock taken out of
+    the verdict.
     """
-    from .cluster import LocalCluster, NodeAnswer, merge_node_responses
+    from ..obs import SloTracker
+    from .cluster import LocalCluster
     from .cluster.healthd import HealthMonitor
     from .cluster.supervisor import ClusterSupervisor
-    from .cluster.topology import partition_index
 
-    if heartbeat_budget is None:
-        # eject_after failing beats, one supervisor sweep, readmit_after
-        # probation beats, plus slack for a slow respawn probe.
-        heartbeat_budget = eject_after + readmit_after + 3
-    log = log if log is not None else ChaosEventLog()
+    report = ChaosReport("selfheal", seed, ChaosEventLog())
+    log = report.log
+    budget = SELFHEAL_HEARTBEAT_BUDGET
     queries, index, loader = build_workload(seed=seed)
-    options = QueryOptions(top=5, min_score=1)
-
-    ref_topology, parts = partition_index(index, nodes)
-    ref_engines = {
-        spec.node_id: SearchEngine(part, cache=ResultCache(0))
-        for spec, part in zip(ref_topology.nodes, parts)
-        if not spec.empty
-    }
-
-    def reference(query: str, down: set[int]) -> SearchResponse:
-        live = [
-            NodeAnswer(node_id=nid, response=engine.search(query, options))
-            for nid, engine in ref_engines.items()
-            if nid not in down
-        ]
-        return merge_node_responses(query.upper(), live, ref_topology, options)
-
-    rng = random.Random(f"selfheal:{seed}")
-    outcomes: dict[str, list[SearchResponse | Exception]] = {}
-    expected: dict[str, list[SearchResponse]] = {}
-    timeline: list[dict] = []
+    live, expected = _reference_cluster(index, nodes, _baseline(queries, loader))
+    victim = random.Random(f"selfheal:{seed}").choice(live)
     slo_timeline: dict[str, tuple[str, ...]] = {}
-    issued = 0
-    answered = 0
 
     # Burn-rate tracking over a fake clock: one tick per request, with
     # a window-sized jump between phases so the down-phase's bad
     # samples age out before the healed phase is judged — hours of
     # sliding window compressed into deterministic ticks.
-    from ..obs import SloTracker
-
     slo_clock = [0.0]
-    slo_window = float(2 * requests_per_phase)
+    slo_window = float(2 * SELFHEAL_REQUESTS_PER_PHASE)
 
     with LocalCluster(index, nodes=nodes, mode=mode, batch_window=0.0) as cluster:
-        victim = rng.choice(sorted(ref_engines))
         with cluster.client(gather_timeout=15.0, breaker_factory=None) as client:
             coordinator = client.coordinator
             coordinator.slo = SloTracker(
@@ -1309,8 +1032,8 @@ def run_selfheal_chaos(
             )
             monitor = HealthMonitor(
                 coordinator.channels,
-                eject_after=eject_after,
-                readmit_after=readmit_after,
+                eject_after=SELFHEAL_EJECT_AFTER,
+                readmit_after=SELFHEAL_READMIT_AFTER,
                 jitter=0.0,
                 seed=seed,
                 obs=coordinator.obs,
@@ -1324,41 +1047,18 @@ def run_selfheal_chaos(
                 seed=seed,
                 mode=mode,
                 victim=victim,
-                eject_after=eject_after,
-                readmit_after=readmit_after,
-                budget=heartbeat_budget,
+                eject_after=SELFHEAL_EJECT_AFTER,
+                readmit_after=SELFHEAL_READMIT_AFTER,
+                budget=budget,
             )
 
             def run_phase(phase: str, down: set[int]) -> None:
-                nonlocal issued, answered
-                outcomes[phase] = []
-                expected[phase] = []
-                for r in range(requests_per_phase):
-                    query = queries[(len(timeline) + r) % len(queries)]
-                    issued += 1
+                for r in range(SELFHEAL_REQUESTS_PER_PHASE):
+                    query = queries[len(report.entries) % len(queries)]
                     slo_clock[0] += 1.0
-                    try:
-                        response = client.search(query, options)
-                        outcomes[phase].append(response)
-                        answered += 1
-                        timeline.append(
-                            {"phase": phase, "request": r, "coverage": response.coverage}
-                        )
-                        log.record(
-                            "answered", phase=phase, request=r,
-                            coverage=response.coverage,
-                        )
-                    except Exception as exc:  # noqa: BLE001 - judged by the report
-                        outcomes[phase].append(exc)
-                        timeline.append(
-                            {"phase": phase, "request": r, "coverage": None}
-                        )
-                        log.record(
-                            "request-failed", phase=phase, request=r, error=str(exc)
-                        )
-                    expected[phase].append(reference(query, down))
-
-            def snap_slo(phase: str) -> None:
+                    want = expected(query, down)
+                    _ask(report, f"{phase} request {r}", client, query, want,
+                         phase=phase, request=r)
                 firing = tuple(
                     status.objective.name
                     for status in coordinator.slo.evaluate()
@@ -1369,22 +1069,20 @@ def run_selfheal_chaos(
 
             monitor.tick()  # everyone starts as a confirmed member
             run_phase("steady", set())
-            snap_slo("steady")
 
             cluster.kill_node(victim)
             log.record("node.kill", node=victim)
             ticks_to_eject = 0
-            while monitor.is_up(victim) and ticks_to_eject < heartbeat_budget:
+            while monitor.is_up(victim) and ticks_to_eject < budget:
                 monitor.tick()
                 ticks_to_eject += 1
             log.record("node.ejected", node=victim, ticks=ticks_to_eject)
             run_phase("down", {victim})
-            snap_slo("down")
 
             respawned = supervisor.check_once()
             log.record("supervisor.sweep", respawned=respawned)
             ticks_to_recover = ticks_to_eject
-            while not monitor.is_up(victim) and ticks_to_recover < heartbeat_budget + 1:
+            while not monitor.is_up(victim) and ticks_to_recover < budget + 1:
                 monitor.tick()
                 ticks_to_recover += 1
             log.record("node.readmitted", node=victim, ticks=ticks_to_recover)
@@ -1392,8 +1090,6 @@ def run_selfheal_chaos(
             # judging the healed phase — the "clears after heal" half.
             slo_clock[0] += slo_window
             run_phase("healed", set())
-            snap_slo("healed")
-            final_health = dict(client.health())
 
     log.record(
         "selfheal-drained",
@@ -1401,34 +1097,31 @@ def run_selfheal_chaos(
         ticks_to_eject=ticks_to_eject,
         ticks_to_recover=ticks_to_recover,
     )
-    report = SelfHealReport(
+    limiter = limiter_convergence_trace()
+    report.facts.update(
         mode=mode,
-        seed=seed,
         victim=victim,
-        outcomes=outcomes,
-        expected=expected,
-        coverage_timeline=timeline,
-        ticks_to_eject=ticks_to_eject,
-        ticks_to_recover=ticks_to_recover,
-        heartbeat_budget=heartbeat_budget,
+        ejected_after=ticks_to_eject,
+        recovered_after=ticks_to_recover,
+        budget=budget,
         respawned=respawned,
-        issued=issued,
-        answered=answered,
-        final_health=final_health,
-        log=log,
-        slo_timeline=slo_timeline,
+        limiter_settle=limiter["settle"],
     )
-    report.events_dumped_to = log.dump_env()
-    return report
+    return _judge(report, {
+        f"recovery took {ticks_to_recover} heartbeats (budget {budget})":
+            ticks_to_recover <= budget,
+        f"supervisor never respawned node {victim}": victim in respawned,
+        f"SLO firing in steady state: {slo_timeline['steady']}":
+            not slo_timeline["steady"],
+        f"coverage SLO did not fire during the outage (firing: {slo_timeline['down']})":
+            "coverage" in slo_timeline["down"],
+        f"SLO still firing after heal: {slo_timeline['healed']}":
+            not slo_timeline["healed"],
+        f"limiter did not converge (settle {limiter['settle']})": limiter["converged"],
+    })
 
 
-def limiter_convergence_trace(
-    seed: int = 0,
-    capacity: int = 4,
-    initial: int = 64,
-    rounds: int = 60,
-    settle_rounds: int = 10,
-) -> dict:
+def limiter_convergence_trace(capacity: int = 4, initial: int = 64) -> dict:
     """Drive the AIMD limiter through a slow-node schedule; judge convergence.
 
     A deterministic discrete-time model of a node that can finish
@@ -1440,7 +1133,7 @@ def limiter_convergence_trace(
     band around capacity and cuts become one-per-excursion instead of
     a collapse to the floor.  Returned trace: per-round limits, cut
     count, and a ``converged`` verdict over the final
-    ``settle_rounds``.
+    :data:`LIMITER_SETTLE_ROUNDS`.
     """
     from .guard import AdaptiveLimiter
 
@@ -1453,7 +1146,7 @@ def limiter_convergence_trace(
         clock=lambda: fake_now[0],
     )
     trace: list[int] = []
-    for _ in range(rounds):
+    for _ in range(LIMITER_ROUNDS):
         fake_now[0] += 1.0  # each round is past the cooldown: cuts allowed
         admitted = limiter.limit
         on_time = min(admitted, capacity)
@@ -1462,7 +1155,7 @@ def limiter_convergence_trace(
         for _ in range(admitted - on_time):
             limiter.on_overload()
         trace.append(limiter.limit)
-    settle = trace[-settle_rounds:]
+    settle = trace[-LIMITER_SETTLE_ROUNDS:]
     # Converged: the limit hugs capacity — never at the static ceiling,
     # never collapsed to the floor, and within a 4x band of capacity.
     converged = all(1 <= limit <= max(4 * capacity, 4) for limit in settle)
@@ -1479,49 +1172,6 @@ def limiter_convergence_trace(
 # ----------------------------------------------------------------------
 # Ingest disk-fault chaos
 # ----------------------------------------------------------------------
-@dataclass
-class IngestChaosRun:
-    """One fault scenario's outcome inside an ingest chaos sweep."""
-
-    label: str
-    kind: str
-    crashed: bool
-    acked: int
-    served_new: int
-    ok: bool
-    notes: list[str] = field(default_factory=list)
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        tail = f" ({'; '.join(self.notes)})" if self.notes else ""
-        return (
-            f"{self.kind}@{self.label}: {status} crashed={self.crashed} "
-            f"acked={self.acked} served_new={self.served_new}{tail}"
-        )
-
-
-@dataclass
-class IngestChaosReport:
-    """Everything an ingest chaos sweep produced, for the tests to judge."""
-
-    seed: int
-    seal_every: int
-    labels: list[str]
-    runs: list[IngestChaosRun]
-    log: ChaosEventLog
-    events_dumped_to: Path | None = None
-
-    @property
-    def failures(self) -> list[IngestChaosRun]:
-        return [run for run in self.runs if not run.ok]
-
-    def summary(self) -> str:
-        return (
-            f"ingest chaos seed={self.seed}: {len(self.labels)} crash points, "
-            f"{len(self.runs)} runs, {len(self.failures)} failures"
-        )
-
-
 def _ingest_workload(
     seed: int, n_new: int
 ) -> tuple[list[str], list[tuple[str, str]], Callable[[], DatabaseIndex]]:
@@ -1550,21 +1200,34 @@ def _ingest_signatures(
     return [response_signature(engine.search(q, options)) for q in queries]
 
 
-def _ingest_lifecycle(
-    service: IngestService, records: list[tuple[str, str]]
-) -> list[str]:
-    """Stream ``records`` then force-seal; returns the acked names.
+def _ingest_drive(
+    loader: Callable[[], DatabaseIndex],
+    directory: str,
+    fs: FaultFS,
+    records: list[tuple[str, str]],
+    seal_every: int,
+) -> tuple[IngestService | None, IndexManager, list[str], bool]:
+    """Stream ``records`` into a fresh service on ``fs``, then force-seal.
 
-    A :class:`CrashPoint` (or read-only trip) propagates to the caller
-    with the acked list reflecting exactly the acknowledgements that
-    made it out before the fault — which is the contract under test.
+    Returns the service (``None`` when it crashed while opening), its
+    index manager, the names acknowledged before any fault, and
+    whether a crash point fired.  A read-only trip ends the stream.
     """
+    manager = IndexManager(index=loader(), loader=loader)
+    service = None
     acked: list[str] = []
-    for name, sequence in records:
-        service.ingest(name, sequence)
-        acked.append(name)
-    service.seal()
-    return acked
+    crashed = False
+    try:
+        service = IngestService(manager, directory, seal_every=seal_every, fs=fs)
+        for name, sequence in records:
+            service.ingest(name, sequence)
+            acked.append(name)
+        service.seal()
+    except CrashPoint:
+        crashed = True
+    except IngestReadOnly:
+        pass
+    return service, manager, acked, crashed
 
 
 def run_ingest_chaos(
@@ -1572,313 +1235,162 @@ def run_ingest_chaos(
     n_new: int = 7,
     seal_every: int = 3,
     tcp: bool = True,
-    log: ChaosEventLog | None = None,
-) -> IngestChaosReport:
-    """Kill the WAL ingest lifecycle at every labeled disk barrier.
+) -> ChaosReport:
+    """Run the WAL ingest lifecycle through a table of disk faults.
 
-    The sweep first runs the lifecycle fault-free to (a) enumerate
-    every :class:`FaultFS` barrier it crosses and (b) record the
-    reference rankings.  Then, per barrier: a fresh directory, a
-    scheduled crash at that barrier, a recovery over the survivors,
-    and the invariants:
+    A fault-free probe run first enumerates every labeled
+    :class:`FaultFS` barrier the lifecycle crosses and records the
+    reference rankings.  Each row of the table then streams the
+    records into a fresh directory under one :class:`DiskFaultPlan`
+    and records what happened: whether a crash point fired, whether
+    ingest went read-only, and the recovery judge's problems.  The
+    rows: a crash at every probed barrier, a torn and a short journal
+    append, a lying fsync on the journal and on a delta publish, and
+    ENOSPC/EIO.  The judged promises:
 
-    * recovery lands on a consistent generation (no exception, no
-      degraded shards for a plain crash);
-    * every acked record is served post-recovery, and nothing is
-      served that was never submitted (at-least-once, never-lost);
-    * after re-ingesting whatever the crash interrupted, rankings are
+    * crashes, torn writes and lying fsyncs crash; short writes,
+      ENOSPC and EIO leave the service read-only, refusing ingest
+      while searches keep answering;
+    * recovery over the surviving directory never raises, serves every
+      acked record (except after a lying journal fsync, where the disk
+      forfeited durability) and nothing never submitted;
+    * after re-ingesting whatever the fault interrupted, rankings are
       **bit-identical** to the fault-free reference;
-    * torn writes behave like crashes (the torn tail is cut), short
-      writes and ENOSPC/EIO degrade to read-only while searches keep
-      answering, and a lying fsync on a delta publish quarantines the
-      delta (visible partial coverage) instead of serving garbage.
+    * a lying fsync on a delta publish quarantines the delta (visible
+      degraded shards) instead of serving garbage.
 
-    With ``tcp=True`` the ENOSPC scenario also runs against a real
+    With ``tcp=True`` a full disk is also driven through a real
     :class:`~repro.service.net.TcpSearchServer`: the ``ingest`` verb
-    answers ``read-only`` error frames while ``search`` keeps serving
-    — the server degrades, it does not crash.
+    answers ``read-only`` error frames while ``search`` keeps serving.
     """
-    events = log if log is not None else ChaosEventLog()
+    report = ChaosReport("ingest chaos", seed, ChaosEventLog())
+    log = report.log
     queries, new_records, loader = _ingest_workload(seed, n_new)
     submitted = {name for name, _ in new_records}
-    base_names = {name for name in _served(loader())}
-    runs: list[IngestChaosRun] = []
+    base_names = set(_served(loader()))
 
-    # Fault-free probe: enumerate barriers + reference rankings.
     probe_fs = FaultFS()
     with tempfile.TemporaryDirectory(prefix="repro-ingest-ref-") as ref_dir:
-        manager = IndexManager(index=loader(), loader=loader)
-        service = IngestService(
-            manager, ref_dir, seal_every=seal_every, fs=probe_fs
+        _service, manager, _acked, _crashed = _ingest_drive(
+            loader, ref_dir, probe_fs, new_records, seal_every
         )
-        _ingest_lifecycle(service, new_records)
         reference = _ingest_signatures(manager, queries)
     labels = list(dict.fromkeys(probe_fs.labels_seen))
-    events.record("probe", labels=len(labels), reference_queries=len(queries))
+    log.record("probe", labels=len(labels), reference_queries=len(queries))
 
-    def recover_and_converge(
-        directory: str, acked: list[str], kind: str, label: str
-    ) -> IngestChaosRun:
-        """Restart over ``directory`` and judge the lifecycle invariants."""
-        notes: list[str] = []
+    def judge_recovery(
+        directory: str, acked: list[str], recovery: str
+    ) -> tuple[list[str], int]:
+        """Restart over ``directory``; the broken promises and new records served.
+
+        ``recovery`` is ``"converge"`` (acked ⊆ served, then rankings
+        bit-identical to the reference after re-ingest), ``"lossy"``
+        (the same without acked ⊆ served) or ``"quarantine"`` (the
+        delta is quarantined as degraded shards, never served as
+        garbage).
+        """
         manager = IndexManager(index=loader(), loader=loader)
         try:
-            revived = IngestService(
-                manager, directory, seal_every=seal_every, fs=FaultFS()
-            )
+            revived = IngestService(manager, directory, seal_every=seal_every, fs=FaultFS())
         except Exception as exc:  # noqa: BLE001 - recovery must never fail
-            events.record("recovery-failed", label=label, error=repr(exc))
-            return IngestChaosRun(
-                label, kind, True, len(acked), 0, False,
-                [f"recovery raised {exc!r}"],
-            )
+            return [f"recovery raised {exc!r}"], 0
+        problems = []
         served = set(revived.served_names())
         served_new = served - base_names
         index = manager.current()[0]
-        if set(acked) - served:
-            notes.append(f"acked records lost: {sorted(set(acked) - served)}")
+        lost = set(acked) - served
+        if recovery == "quarantine":
+            # The quarantined placeholder keeps the lost delta's record
+            # slots, so the gap between total records and served ones
+            # is exactly the quarantined capacity.
+            if not index.degraded:
+                problems.append("quarantine not surfaced as degraded shards")
+            if len(lost) > index.record_count - len(base_names) - len(served_new):
+                problems.append("acked records lost beyond the quarantined delta")
+        else:
+            if index.degraded:
+                problems.append(f"degraded shards after plain crash: {index.degraded}")
+            # A lying journal fsync forfeits acked ⊆ served: the disk
+            # claimed durability it did not deliver ("lossy").
+            if lost and recovery != "lossy":
+                problems.append(f"acked records lost: {sorted(lost)}")
         if served_new - submitted:
-            notes.append(f"served never-submitted: {sorted(served_new - submitted)}")
-        if index.degraded:
-            notes.append(f"degraded shards after plain crash: {index.degraded}")
-        # Converge: re-ingest whatever the crash interrupted, in the
-        # original order, then the rankings must be bit-identical to
-        # the run that never crashed.
+            problems.append(f"served never-submitted: {sorted(served_new - submitted)}")
+        # Converge: re-ingest whatever the fault interrupted, in the
+        # original order.
         for name, sequence in new_records:
             if name not in served:
                 revived.ingest(name, sequence)
         revived.seal()
-        if _ingest_signatures(manager, queries) != reference:
-            notes.append("post-recovery rankings differ from fault-free reference")
-        events.record(
-            "recovered", label=label, fault=kind,
-            acked=len(acked), served_new=len(served_new), ok=not notes,
-        )
-        return IngestChaosRun(
-            label, kind, True, len(acked), len(served_new), not notes, notes
-        )
+        if recovery == "quarantine":
+            # Placeholders keep their degraded slots, so bit-identity is
+            # out of scope; every submitted record must be servable.
+            missing = submitted - set(revived.served_names())
+            if missing:
+                problems.append(f"records missing after re-ingest: {sorted(missing)}")
+        elif _ingest_signatures(manager, queries) != reference:
+            problems.append("post-recovery rankings differ from fault-free reference")
+        return problems, len(served_new)
 
-    # -- the crash sweep: one run per labeled barrier -------------------
-    for label in labels:
-        plan = DiskFaultPlan.crash_at(label)
-        with tempfile.TemporaryDirectory(prefix="repro-ingest-chaos-") as chaos_dir:
-            acked: list[str] = []
-            crashed = False
-            try:
-                manager = IndexManager(index=loader(), loader=loader)
-                service = IngestService(
-                    manager, chaos_dir, seal_every=seal_every, fs=FaultFS(plan)
-                )
-                for name, sequence in new_records:
-                    service.ingest(name, sequence)
-                    acked.append(name)
-                service.seal()
-            except CrashPoint:
-                crashed = True
-            events.record("crash-injected", label=label, acked=len(acked))
-            run = recover_and_converge(chaos_dir, acked, "crash", label)
-            run.crashed = crashed
-            if not crashed:
-                run.ok = False
-                run.notes.append("scheduled crash point was never reached")
-            runs.append(run)
-
-    # -- torn write: half the append lands, then the crash --------------
-    with tempfile.TemporaryDirectory(prefix="repro-ingest-chaos-") as chaos_dir:
-        acked = []
-        crashed = False
-        try:
-            manager = IndexManager(index=loader(), loader=loader)
-            service = IngestService(
-                manager, chaos_dir, seal_every=seal_every,
-                fs=FaultFS(DiskFaultPlan.torn_at("journal.append", after=2)),
+    # One row per fault: (kind, barrier label, plan, recovery judge
+    # mode).  Read-only rows (mode None) are not restarted.
+    plans = DiskFaultPlan
+    rows = [("crash", label, plans.crash_at(label), "converge") for label in labels]
+    rows += [
+        ("torn", "journal.append", plans.torn_at("journal.append", after=2), "converge"),
+        ("short", "journal.append", plans.short_at("journal.append", after=2), "converge"),
+        ("fsync-drop", "journal.sync",
+         plans.fsync_drop_at("journal.sync").merged(plans.crash_at("seal.rename")), "lossy"),
+        ("fsync-drop", "delta.sync",
+         plans.fsync_drop_at("delta.sync").merged(plans.crash_at("segment.retire")),
+         "quarantine"),
+        ("enospc", "journal.append", plans.enospc_at("journal.append", after=1, times=None), None),
+        ("eio", "journal.sync", plans.eio_at("journal.sync", after=1, times=None), None),
+    ]
+    for kind, label, plan, recovery in rows:
+        with tempfile.TemporaryDirectory(prefix="repro-ingest-chaos-") as directory:
+            service, manager, acked, crashed = _ingest_drive(
+                loader, directory, FaultFS(plan), new_records, seal_every
             )
-            for name, sequence in new_records:
-                service.ingest(name, sequence)
-                acked.append(name)
-            service.seal()
-        except CrashPoint:
-            crashed = True
-        run = recover_and_converge(chaos_dir, acked, "torn", "journal.append")
-        run.crashed = crashed
-        if not crashed:
-            run.ok = False
-            run.notes.append("torn write never triggered")
-        runs.append(run)
-
-    # -- short write: ENOSPC mid-frame → read-only, then restart heals --
-    with tempfile.TemporaryDirectory(prefix="repro-ingest-chaos-") as chaos_dir:
-        notes = []
-        acked = []
-        manager = IndexManager(index=loader(), loader=loader)
-        service = IngestService(
-            manager, chaos_dir, seal_every=seal_every,
-            fs=FaultFS(DiskFaultPlan.short_at("journal.append", after=2)),
-        )
-        tripped = False
-        for name, sequence in new_records:
-            try:
-                service.ingest(name, sequence)
-                acked.append(name)
-            except IngestReadOnly:
-                tripped = True
-                break
-        if not tripped or not service.read_only:
-            notes.append("short write did not trip read-only")
-        try:
-            _ingest_signatures(manager, queries)
-        except Exception as exc:  # noqa: BLE001 - serving must survive
-            notes.append(f"search failed while read-only: {exc!r}")
-        run = recover_and_converge(chaos_dir, acked, "short", "journal.append")
-        run.notes = notes + run.notes
-        run.ok = run.ok and not notes
-        runs.append(run)
-
-    # -- lying fsync on the journal: acks a crash then discards ---------
-    # This is the one fault that *forfeits* acked⊆served — the disk
-    # claimed durability it did not deliver.  The lifecycle's promise
-    # shrinks to: recovery still lands consistent, nothing fabricated
-    # is served, and re-ingest converges to the reference.
-    with tempfile.TemporaryDirectory(prefix="repro-ingest-chaos-") as chaos_dir:
-        acked = []
-        crashed = False
-        try:
-            manager = IndexManager(index=loader(), loader=loader)
-            service = IngestService(
-                manager, chaos_dir, seal_every=seal_every,
-                fs=FaultFS(
-                    DiskFaultPlan.fsync_drop_at("journal.sync").merged(
-                        DiskFaultPlan.crash_at("seal.rename")
-                    )
-                ),
-            )
-            for name, sequence in new_records:
-                service.ingest(name, sequence)
-                acked.append(name)
-            service.seal()
-        except CrashPoint:
-            crashed = True
-        run = recover_and_converge(chaos_dir, acked, "fsync-drop", "journal.sync")
-        run.crashed = crashed
-        run.notes = [
-            note for note in run.notes if not note.startswith("acked records lost")
-        ]
-        run.ok = not run.notes and crashed
-        if not crashed:
-            run.notes.append("lying-fsync crash never triggered")
-        runs.append(run)
-
-    # -- lying fsync on a delta publish: quarantine, never garbage ------
-    with tempfile.TemporaryDirectory(prefix="repro-ingest-chaos-") as chaos_dir:
-        notes = []
-        acked = []
-        crashed = False
-        try:
-            manager = IndexManager(index=loader(), loader=loader)
-            service = IngestService(
-                manager, chaos_dir, seal_every=seal_every,
-                fs=FaultFS(
-                    DiskFaultPlan.fsync_drop_at("delta.sync").merged(
-                        DiskFaultPlan.crash_at("segment.retire")
-                    )
-                ),
-            )
-            for name, sequence in new_records:
-                service.ingest(name, sequence)
-                acked.append(name)
-            service.seal()
-        except CrashPoint:
-            crashed = True
-        if not crashed:
-            notes.append("delta lying-fsync crash never triggered")
-        manager = IndexManager(index=loader(), loader=loader)
-        try:
-            revived = IngestService(
-                manager, chaos_dir, seal_every=seal_every, fs=FaultFS()
-            )
-        except Exception as exc:  # noqa: BLE001
-            notes.append(f"recovery raised {exc!r}")
-            revived = None
-        served_new: set[str] = set()
-        if revived is not None:
-            index = manager.current()[0]
-            served = set(revived.served_names())
-            served_new = served - base_names
-            # The quarantined placeholder keeps the lost delta's record
-            # slots, so the gap between total records and served ones
-            # is exactly the quarantined capacity.
-            lost_capacity = index.record_count - len(base_names) - len(served_new)
-            if not index.degraded:
-                notes.append("quarantine not surfaced as degraded shards")
-            if len(set(acked) - served) > lost_capacity:
-                notes.append("acked records lost beyond the quarantined delta")
-            if served_new - submitted:
-                notes.append(f"served never-submitted: {sorted(served_new - submitted)}")
-            # Set-convergence: every submitted record is servable again
-            # once re-ingested (the quarantined placeholders keep their
-            # degraded slots, so bit-identity is out of scope here).
-            for name, sequence in new_records:
-                if name not in served:
-                    revived.ingest(name, sequence)
-            revived.seal()
-            final_served = set(revived.served_names())
-            if not submitted <= final_served:
-                notes.append(
-                    f"records missing after re-ingest: {sorted(submitted - final_served)}"
-                )
-        events.record("quarantine-run", notes=list(notes))
-        runs.append(
-            IngestChaosRun(
-                "delta.sync", "fsync-drop", crashed,
-                len(acked), len(served_new), not notes, notes,
-            )
-        )
-
-    # -- ENOSPC / EIO: read-only degradation, serving uninterrupted -----
-    for kind, label in (("enospc", "journal.append"), ("eio", "journal.sync")):
-        with tempfile.TemporaryDirectory(prefix="repro-ingest-chaos-") as chaos_dir:
-            notes = []
-            plan = (
-                DiskFaultPlan.enospc_at(label, after=1, times=None)
-                if kind == "enospc"
-                else DiskFaultPlan.eio_at(label, after=1, times=None)
-            )
-            manager = IndexManager(index=loader(), loader=loader)
-            service = IngestService(
-                manager, chaos_dir, seal_every=seal_every, fs=FaultFS(plan)
-            )
-            acked = []
-            tripped = False
-            for name, sequence in new_records:
+            read_only = service is not None and service.read_only
+            problems: list[str] = []
+            served_new = 0
+            if read_only:
                 try:
-                    service.ingest(name, sequence)
-                    acked.append(name)
+                    service.ingest("after-fault", "ACGT")
+                    problems.append("ingest accepted while read-only")
                 except IngestReadOnly:
-                    tripped = True
-                    break
-            if not tripped or not service.read_only:
-                notes.append(f"{kind} did not trip read-only")
-            try:
-                service.ingest("after-fault", "ACGT")
-                notes.append("ingest accepted while read-only")
-            except IngestReadOnly:
-                pass
-            try:
-                _ingest_signatures(manager, queries)
-            except Exception as exc:  # noqa: BLE001
-                notes.append(f"search failed while read-only: {exc!r}")
-            events.record("read-only-run", fault=kind, label=label, ok=not notes)
-            runs.append(
-                IngestChaosRun(label, kind, False, len(acked), 0, not notes, notes)
-            )
+                    pass
+                try:
+                    _ingest_signatures(manager, queries)
+                except Exception as exc:  # noqa: BLE001 - serving must survive
+                    problems.append(f"search failed while read-only: {exc!r}")
+            if recovery is not None:
+                more, served_new = judge_recovery(directory, acked, recovery)
+                problems += more
+        outcome = {
+            "crashed": crashed,
+            "read_only": read_only,
+            "acked": len(acked),
+            "served_new": served_new,
+            "problems": problems,
+        }
+        log.record("ingest-run", fault=kind, label=label, **outcome)
+        expected = {
+            "crashed": kind not in READ_ONLY_FAULTS,
+            "read_only": kind in READ_ONLY_FAULTS,
+            "problems": [],
+        }
+        report.entries.append((f"{kind}@{label}", outcome, expected))
 
     # -- the TCP leg: a full disk degrades the server, never kills it ---
     if tcp:
-        notes = []
-        with tempfile.TemporaryDirectory(prefix="repro-ingest-chaos-") as chaos_dir:
+        problems = []
+        read_only = False
+        with tempfile.TemporaryDirectory(prefix="repro-ingest-chaos-") as directory:
             manager = IndexManager(index=loader(), loader=loader)
             service = IngestService(
-                manager, chaos_dir, seal_every=seal_every,
+                manager, directory, seal_every=seal_every,
                 fs=FaultFS(
                     DiskFaultPlan.enospc_at("journal.append", after=2, times=None)
                 ),
@@ -1890,40 +1402,32 @@ def run_ingest_chaos(
                 with SearchClient(handle.host, handle.port) as client:
                     for name, sequence in new_records[:2]:
                         client.ingest(name, sequence)
-                    read_only_seen = False
                     try:
                         client.ingest(*new_records[2])
                     except ServiceError as exc:
-                        read_only_seen = exc.code == "read-only"
-                    if not read_only_seen:
-                        notes.append("full disk did not answer a read-only error frame")
+                        read_only = exc.code == "read-only"
                     response = client.search(queries[0], QueryOptions(top=5))
                     if response.coverage != 1.0:
-                        notes.append("search degraded while ingest is read-only")
-                    health = client.health()
-                    ingest_state = health.get("ingest")
+                        problems.append("search degraded while ingest is read-only")
+                    ingest_state = client.health().get("ingest")
                     if not (
                         isinstance(ingest_state, dict) and ingest_state.get("read_only")
                     ):
-                        notes.append("health does not surface read-only ingest")
+                        problems.append("health does not surface read-only ingest")
                     if not client.ping():
-                        notes.append("server unreachable after disk fault")
+                        problems.append("server unreachable after disk fault")
             except Exception as exc:  # noqa: BLE001 - the server must survive
-                notes.append(f"TCP leg failed: {exc!r}")
+                problems.append(f"TCP leg failed: {exc!r}")
             finally:
                 handle.stop()
-        events.record("tcp-read-only-run", ok=not notes)
-        runs.append(
-            IngestChaosRun(
-                "journal.append", "enospc-tcp", False, 2, 0, not notes, notes
-            )
+        outcome = {"read_only": read_only, "problems": problems}
+        log.record("tcp-read-only-run", **outcome)
+        report.entries.append(
+            ("enospc-tcp@journal.append", outcome, {"read_only": True, "problems": []})
         )
 
-    report = IngestChaosReport(
-        seed=seed, seal_every=seal_every, labels=labels, runs=runs, log=events
-    )
-    report.events_dumped_to = events.dump_env()
-    return report
+    report.facts.update(crash_points=len(labels), runs=len(report.entries))
+    return _judge(report, {})
 
 
 def _served(index: DatabaseIndex) -> list[str]:
@@ -1963,69 +1467,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--log", help="dump the event log to this JSON path")
     args = parser.parse_args(argv)
     if args.ingest:
-        ireport = run_ingest_chaos(seed=args.seed)
-        if args.log:
-            ireport.events_dumped_to = ireport.log.dump(args.log)
-        elif os.environ.get(CHAOS_LOG_ENV):
-            ireport.events_dumped_to = ireport.log.dump(os.environ[CHAOS_LOG_ENV])
-        print(ireport.summary())
-        for run in ireport.runs:
-            print(f"  {run.describe()}")
-        if ireport.events_dumped_to is not None:
-            print(f"event log: {ireport.events_dumped_to}")
-        return 0 if not ireport.failures else 1
-    if args.selfheal:
-        sreport = run_selfheal_chaos(seed=args.seed, nodes=args.nodes, mode=args.mode)
-        if args.log:
-            sreport.events_dumped_to = sreport.log.dump(args.log)
-        print(sreport.summary())
-        if sreport.events_dumped_to is not None:
-            print(f"event log: {sreport.events_dumped_to}")
-        convergence = limiter_convergence_trace(seed=args.seed)
-        print(
-            f"limiter convergence: capacity={convergence['capacity']} "
-            f"settle={convergence['settle']} converged={convergence['converged']}"
-        )
-        ok = (
-            not sreport.failures
-            and not sreport.mismatches()
-            and not sreport.heal_violations()
-            and not sreport.slo_violations()
-            and convergence["converged"]
-        )
-        return 0 if ok else 1
-    if args.cluster:
-        creport = run_cluster_chaos(
+        report = run_ingest_chaos(seed=args.seed)
+    elif args.selfheal:
+        report = run_selfheal_chaos(seed=args.seed, nodes=args.nodes, mode=args.mode)
+    elif args.cluster:
+        report = run_cluster_chaos(
             seed=args.seed, requests=args.requests, nodes=args.nodes
         )
-        if args.log:
-            creport.events_dumped_to = creport.log.dump(args.log)
-        print(creport.summary())
-        if creport.events_dumped_to is not None:
-            print(f"event log: {creport.events_dumped_to}")
-        ok = (
-            not creport.failures
-            and not creport.mismatches()
-            and not creport.span_violations()
-            and not creport.clean_mismatches()
-            and not creport.trace_violations()
+    else:
+        report = run_chaos(
+            seed=args.seed, requests=args.requests, fault_rate=args.fault_rate
         )
-        return 0 if ok else 1
-    report = run_chaos(
-        seed=args.seed, requests=args.requests, fault_rate=args.fault_rate
-    )
-    if args.log:
-        report.events_dumped_to = report.log.dump(args.log)
     print(report.summary())
-    if report.events_dumped_to is not None:
-        print(f"event log: {report.events_dumped_to}")
-    ok = (
-        not report.failures
-        and not report.mismatches()
-        and report.drained_inflight == 0
-        and report.served == len(report.outcomes)
-    )
-    return 0 if ok else 1
+    # The runner already dumped to $REPRO_CHAOS_LOG; --log names one more copy.
+    if args.log:
+        report.log.dump(args.log)
+    target = args.log or os.environ.get(CHAOS_LOG_ENV)
+    if target:
+        print(f"event log: {target}")
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

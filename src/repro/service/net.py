@@ -830,14 +830,16 @@ class TcpSearchServer:
             if item.done:
                 continue
             item.done = True
-            try:
-                await self._send(item.writer, frame)
-            except (ConnectionError, RuntimeError):
-                pass  # client went away; the answer dies with it
+            # Count before the write: once the frame is on the wire the
+            # client may act on it, and a failed write is ignored anyway.
             if frame.get("type") == "error":
                 self._m_errors.inc()
             else:
                 self.served += 1
+            try:
+                await self._send(item.writer, frame)
+            except (ConnectionError, RuntimeError):
+                pass  # client went away; the answer dies with it
             elapsed = self._loop.time() - item.received
             self._h_request.observe(elapsed)
             self._observe_outcome(frame, elapsed)

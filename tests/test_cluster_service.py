@@ -494,13 +494,13 @@ class TestClusterChaos:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_kill_and_netsplit_schedule_holds_invariants(self, seed):
         report = run_cluster_chaos(seed=seed, requests=10, nodes=3)
-        assert report.failures == []          # no lost queries
-        assert report.mismatches() == []      # bit-identical to reference
-        assert report.span_violations() == [] # degradation == down spans
-        assert report.clean_mismatches() == []  # fault-free == single-node
-        assert len(report.killed) == 1
-        assert report.severed >= 1
-        assert report.final_health["nodes_up"] == 2
+        # No lost queries, answers bit-identical to the reference,
+        # degradation == the down spans, fault-free == single-node.
+        assert report.ok, report.violations
+        assert len(report.entries) == 10
+        assert report.facts["kills"] == 1
+        assert report.facts["splits"] >= 1
+        assert report.facts["nodes_up"] == 2
 
     def test_schedule_is_reproducible_and_survivable(self):
         from repro.service.chaos import ClusterChaosSchedule

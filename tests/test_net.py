@@ -386,6 +386,21 @@ class TestLifecycle:
                     client.search(query, QueryOptions(top=0))
             assert server.served == 1
 
+    def test_served_counts_before_the_reply_lands(self, planted):
+        query, _, index = planted
+        with ServerThread(make_engine(index)) as handle:
+            server = handle.server
+            send = server._send
+
+            async def slow_send(writer, frame):
+                await send(writer, frame)
+                await asyncio.sleep(0.3)  # the client holds its reply by now
+
+            server._send = slow_send
+            with SearchClient(handle.host, handle.port) as client:
+                client.search(query)
+                assert server.served == 1
+
 
 class TestServeCommand:
     def test_multi_shard_index_served_by_two_workers_then_drained(

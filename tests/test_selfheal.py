@@ -116,7 +116,7 @@ class TestAdaptiveLimiter:
             AdaptiveLimiter(increase=0)
 
     def test_converges_under_slow_node_schedule(self):
-        trace = limiter_convergence_trace(seed=0, capacity=4, initial=64)
+        trace = limiter_convergence_trace(capacity=4, initial=64)
         assert trace["converged"], trace["settle"]
         # The settle band hugs real capacity: off the static ceiling,
         # above the floor.
@@ -481,7 +481,7 @@ class TestSelfHealIntegration:
 
     def test_selfheal_chaos_thread_mode_is_clean(self):
         report = run_selfheal_chaos(seed=11, mode="thread")
-        assert report.failures == []
-        assert report.mismatches() == []
-        assert report.heal_violations() == []
-        assert report.respawned and report.answered == report.issued
+        # Heal budget, respawn, SLO timeline, limiter convergence and
+        # every answer against the topology's expected coverage.
+        assert report.ok, report.violations
+        assert report.facts["respawned"] == [report.facts["victim"]]
