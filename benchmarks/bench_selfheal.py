@@ -87,14 +87,14 @@ def run_heal_timeline(
     with LocalCluster(index, nodes=nodes, mode=mode, batch_window=0.0) as cluster:
         victim = cluster.topology().active_nodes[-1].node_id
         with cluster.client(gather_timeout=5.0) as client:
-            monitor = client.coordinator.start_health_monitor(
+            monitor = client.start_health_monitor(
                 interval=heartbeat, eject_after=2, readmit_after=1
             )
             supervisor = ClusterSupervisor(
                 cluster,
-                coordinators=[client.coordinator],
+                coordinators=[client],
                 poll_interval=heartbeat,
-                obs=client.coordinator.obs,
+                obs=client.obs,
             )
             supervisor.start()
             try:

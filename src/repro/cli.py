@@ -577,18 +577,19 @@ def _slo_objectives(args):
     )
 
 
-def _cluster_client(args, obs=None):
-    """A :class:`ClusterClient` from a manifest path or an address list."""
-    from .service.cluster import ClusterClient
+def _cluster_client(args, **kwargs):
+    """A :class:`ClusterCoordinator` from a manifest path or an address list."""
+    from .service.cluster import ClusterCoordinator, ClusterTopology
 
-    kwargs: dict = {"timeout": args.timeout}
-    if obs is not None:
-        kwargs["obs"] = obs
     target = args.cluster
     if "," in target or (":" in target and not Path(target).exists()):
         addresses = [address.strip() for address in target.split(",") if address.strip()]
-        return ClusterClient.from_addresses(addresses, **kwargs)
-    return ClusterClient.from_manifest(target, **kwargs)
+        return ClusterCoordinator.from_addresses(
+            addresses, timeout=args.timeout, **kwargs
+        )
+    return ClusterCoordinator(
+        ClusterTopology.load(target), timeout=args.timeout, **kwargs
+    )
 
 
 def _cmd_cluster(args) -> int:
@@ -709,14 +710,26 @@ def _cmd_cluster(args) -> int:
 
     # Commands whose output is the trace or SLO machinery itself need a
     # live obs bundle on the coordinator; plain query/health stay null
-    # unless asked to trace.
-    obs = None
+    # unless asked to trace.  `cluster slo` hands the coordinator its
+    # tracker, so every probe feeds it through the one search path.
+    kwargs: dict = {}
     if args.cluster_command == "slo" or getattr(args, "trace", False):
         from .obs import Observability
 
-        obs = Observability.create()
+        kwargs["obs"] = Observability.create()
+    if args.cluster_command == "slo":
+        from .obs import SloTracker
+
+        # Probe-run windows: everything lands in both windows, so the
+        # gate is simply "did the bad fraction burn the budget".
+        kwargs["slo"] = SloTracker(
+            objectives=_slo_objectives(args),
+            fast_window=3600.0,
+            slow_window=3600.0,
+            registry=kwargs["obs"].registry,
+        )
     try:
-        client = _cluster_client(args, obs=obs)
+        client = _cluster_client(args, **kwargs)
     except (ServiceError, ConnectionError, OSError, EOFError, ValueError) as exc:
         print(format_error_line(*classify_exception(exc)), file=sys.stderr)
         return 1
@@ -753,50 +766,28 @@ def _cmd_cluster(args) -> int:
 
         with client:
             try:
+                # One scrape feeds both the output and the exit code, so
+                # a node dying mid-command cannot make them disagree.
+                view = client.aggregator.scrape()
                 if args.as_json:
-                    snapshot = client.fleet_snapshot()
-                    print(json_mod.dumps(snapshot, indent=2, sort_keys=True))
-                    failed = snapshot["fleet"].get("repro_fleet_nodes_failed", 0.0)
+                    print(json_mod.dumps(view.snapshot(), indent=2, sort_keys=True))
                 else:
-                    print(client.fleet_metrics(), end="")
-                    failed = len(
-                        client.coordinator.aggregator.scrape().failed
-                    )
+                    print(view.render_prometheus(), end="")
             except (ServiceError, ConnectionError, OSError, EOFError) as exc:
                 print(format_error_line(*classify_exception(exc)), file=sys.stderr)
                 return 1
             # Mirrors `cluster health`: a fleet view missing nodes is
             # printed (partial truth beats silence) but exits nonzero.
-            return 0 if not failed else 1
+            return 0 if not view.failed else 1
 
     if args.cluster_command == "slo":
-        import time as time_mod
-
-        from .obs import SloTracker
-
-        resolved = QueryOptions(top=5)
         with client:
-            # Probe-run windows: everything lands in both windows, so
-            # the gate is simply "did the bad fraction burn the budget".
-            tracker = SloTracker(
-                objectives=_slo_objectives(args),
-                fast_window=3600.0,
-                slow_window=3600.0,
-                registry=obs.registry,
-            )
             for _ in range(max(1, args.probes)):
-                t0 = time_mod.monotonic()
                 try:
-                    response = client.search(args.query, resolved)
+                    client.search(args.query, QueryOptions(top=5))
                 except (ServiceError, ConnectionError, OSError, EOFError, ValueError):
-                    tracker.observe(ok=False, seconds=time_mod.monotonic() - t0)
-                else:
-                    tracker.observe(
-                        ok=True,
-                        seconds=time_mod.monotonic() - t0,
-                        coverage=response.coverage,
-                    )
-            statuses = tracker.evaluate()
+                    pass  # the coordinator's tracker has counted the failure
+            statuses = client.slo.evaluate()
             for status in statuses:
                 print(status.describe())
             healthy = all(not status.firing for status in statuses)

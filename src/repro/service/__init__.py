@@ -34,8 +34,7 @@ coordinates returned per record.  This package turns the one-shot
   connection pooling and :class:`RetryPolicy`-driven retries;
 * :mod:`~repro.service.guard` — cross-layer robustness:
   :class:`CircuitBreaker` (per-endpoint fail-fast keyed on the error
-  taxonomy), :class:`HedgePolicy` (tail-latency duplicate requests),
-  :class:`IndexManager` (generational hot index reload under live
+  taxonomy), :class:`IndexManager` (generational hot index reload under live
   traffic), plus the :class:`Deadline`/:class:`DeadlineExceeded`
   budget machinery threaded through every layer above;
 * :mod:`~repro.service.chaos` — deterministic chaos harness driving a
@@ -53,9 +52,9 @@ coordinates returned per record.  This package turns the one-shot
   :func:`~repro.service.cluster.partition_index` splits an index into
   contiguous per-node sub-indexes, a
   :class:`~repro.service.cluster.ClusterCoordinator` scatter-gathers
-  each query over protocol v2 with per-node breakers, hedged replica
-  reads and group-min deadline propagation, and
-  :class:`ClusterClient` / :class:`LocalCluster` are the deployment
+  each query over protocol v2 with per-node breakers, replica failover
+  and group-min deadline propagation; the coordinator is the cluster's
+  one client, and it and :class:`LocalCluster` are the deployment
   surfaces (``repro cluster`` on the CLI).
 
 Stable public surface
@@ -181,14 +180,13 @@ from .guard import (
     AdaptiveLimiter,
     CircuitBreaker,
     CircuitOpen,
-    HedgePolicy,
     IndexManager,
 )
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .net import ServerConfig, TcpSearchServer
 from .client import AsyncSearchClient, SearchClient
 from .cluster import (
-    ClusterClient,
+    ClusterCoordinator,
     ClusterSupervisor,
     ClusterTopology,
     HealthMonitor,
@@ -205,14 +203,13 @@ __all__ = [
     "BadRequest",
     "CircuitBreaker",
     "CircuitOpen",
-    "ClusterClient",
+    "ClusterCoordinator",
     "ClusterSupervisor",
     "ClusterTopology",
     "DatabaseIndex",
     "Deadline",
     "DeadlineExceeded",
     "HealthMonitor",
-    "HedgePolicy",
     "IndexCorrupt",
     "IndexFormatError",
     "IndexManager",

@@ -810,12 +810,6 @@ class _SplitClient(SearchClient):
             query, options, trace_id=trace_id, parent_span=parent_span
         )
 
-    def search_pipelined(self, queries, options=None, trace_id=None, parent_span=None):
-        self._controller.check(self._split_address)
-        return super().search_pipelined(
-            queries, options, trace_id=trace_id, parent_span=parent_span
-        )
-
     def ping(self) -> bool:
         if self._controller.is_down(self._split_address):
             return False
@@ -1021,15 +1015,16 @@ def run_selfheal_chaos(seed: int = 0, nodes: int = 3, mode: str = "thread") -> C
     slo_window = float(2 * SELFHEAL_REQUESTS_PER_PHASE)
 
     with LocalCluster(index, nodes=nodes, mode=mode, batch_window=0.0) as cluster:
-        with cluster.client(gather_timeout=15.0, breaker_factory=None) as client:
-            coordinator = client.coordinator
-            coordinator.slo = SloTracker(
-                fast_window=slo_window,
-                slow_window=slo_window,
-                clock=lambda: slo_clock[0],
-                registry=coordinator.obs.registry,
-                log=coordinator.obs.log,
-            )
+        slo = SloTracker(
+            fast_window=slo_window,
+            slow_window=slo_window,
+            clock=lambda: slo_clock[0],
+            registry=cluster.obs.registry,
+            log=cluster.obs.log,
+        )
+        with cluster.client(
+            gather_timeout=15.0, breaker_factory=None, slo=slo
+        ) as coordinator:
             monitor = HealthMonitor(
                 coordinator.channels,
                 eject_after=SELFHEAL_EJECT_AFTER,
@@ -1057,11 +1052,11 @@ def run_selfheal_chaos(seed: int = 0, nodes: int = 3, mode: str = "thread") -> C
                     query = queries[len(report.entries) % len(queries)]
                     slo_clock[0] += 1.0
                     want = expected(query, down)
-                    _ask(report, f"{phase} request {r}", client, query, want,
-                         phase=phase, request=r)
+                    _ask(report, f"{phase} request {r}", coordinator, query,
+                         want, phase=phase, request=r)
                 firing = tuple(
                     status.objective.name
-                    for status in coordinator.slo.evaluate()
+                    for status in slo.evaluate()
                     if status.firing
                 )
                 slo_timeline[phase] = firing

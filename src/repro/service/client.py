@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ..obs import NULL_OBS, Observability
 from . import QueryOptions, resolve_query_options
 from .engine import SearchResponse
-from .guard import CircuitBreaker, HedgePolicy
+from .guard import CircuitBreaker
 from .resilience import Overloaded, RetryPolicy, ServiceError
 from . import protocol
 
@@ -127,14 +127,9 @@ class SearchClient:
         without touching the socket.  Failures are recorded per the
         taxonomy (``bad-request`` answers are *successes* for breaker
         purposes — they say nothing about endpoint health).
-    hedge:
-        Optional :class:`~repro.service.guard.HedgePolicy`.  When the
-        policy can name a delay, ``search()`` that has not answered
-        within it issues a duplicate request on a second connection
-        and the first answer wins.
     obs:
-        Observability bundle; meters hedges and adopts the breaker
-        (when the breaker has no live bundle of its own).
+        Observability bundle; adopted by the breaker when the breaker
+        has no live bundle of its own.
     connection_factory:
         Hook replacing ``_Connection`` — how the chaos harness splices
         fault-injecting sockets under a real client.  Must accept
@@ -151,7 +146,6 @@ class SearchClient:
         pool_size: int = 2,
         timeout: float | None = 30.0,
         breaker: CircuitBreaker | None = None,
-        hedge: HedgePolicy | None = None,
         obs: Observability | None = None,
         connection_factory: Callable[..., _Connection] | None = None,
     ) -> None:
@@ -161,16 +155,9 @@ class SearchClient:
         self.pool_size = pool_size
         self.timeout = timeout
         self.breaker = breaker
-        self.hedge = hedge
         self.obs = obs if obs is not None else NULL_OBS
         if breaker is not None and self.obs.enabled and not breaker.obs.enabled:
             breaker.bind_obs(self.obs)
-        self._m_hedges = self.obs.registry.counter(
-            "client_hedges_total", "Hedged duplicate requests issued"
-        )
-        self._m_hedge_wins = self.obs.registry.counter(
-            "client_hedge_wins_total", "Hedged requests that answered first"
-        )
         self._connect = (
             connection_factory if connection_factory is not None else _Connection
         )
@@ -280,20 +267,7 @@ class SearchClient:
             if current is not None and current.trace_id:
                 trace_id = current.trace_id
                 parent_span = parent_span or current.name
-        hedge_after = self.hedge.delay() if self.hedge is not None else None
-        if hedge_after is None:
-            return self._search_once(query, resolved, trace_id, parent_span)
-        return self._search_hedged(query, resolved, hedge_after, trace_id, parent_span)
-
-    def _search_once(
-        self,
-        query: str,
-        resolved: QueryOptions,
-        trace_id: str | None = None,
-        parent_span: str | None = None,
-    ) -> SearchResponse:
         request_id = self._request_id()
-        t0 = time.monotonic()
         reply = self._roundtrip(
             lambda version: protocol.search_request(
                 request_id,
@@ -305,65 +279,7 @@ class SearchClient:
             ),
             token=f"search-{request_id}",
         )
-        if self.hedge is not None:
-            self.hedge.observe(time.monotonic() - t0)
         return self._parse_search_reply(reply, request_id)
-
-    def _search_hedged(
-        self,
-        query: str,
-        resolved: QueryOptions,
-        delay: float,
-        trace_id: str | None = None,
-        parent_span: str | None = None,
-    ) -> SearchResponse:
-        """Primary request, plus a duplicate if it is slow; first answer wins.
-
-        Both attempts run :meth:`_search_once` on their own pooled
-        connection (with their own request ids), so the loser's late
-        answer lands on its own socket and is simply discarded with
-        it.  If every attempt fails, the primary's error is raised.
-        """
-        done = threading.Event()
-        lock = threading.Lock()
-        state: dict = {"reply": None, "winner": None, "errors": [], "finished": 0}
-
-        def attempt(label: str) -> None:
-            try:
-                response = self._search_once(query, resolved, trace_id, parent_span)
-            except BaseException as exc:  # noqa: BLE001 - collected, re-raised
-                with lock:
-                    state["errors"].append(exc)
-                    state["finished"] += 1
-                done.set()
-                return
-            with lock:
-                if state["reply"] is None:
-                    state["reply"] = response
-                    state["winner"] = label
-                state["finished"] += 1
-            done.set()
-
-        threads = [threading.Thread(target=attempt, args=("primary",), daemon=True)]
-        threads[0].start()
-        if not done.wait(delay):
-            self._m_hedges.inc()
-            self.obs.log.debug("client.hedge", after=f"{delay:.4f}s")
-            hedge_thread = threading.Thread(
-                target=attempt, args=("hedge",), daemon=True
-            )
-            threads.append(hedge_thread)
-            hedge_thread.start()
-        while True:
-            done.wait()
-            with lock:
-                if state["reply"] is not None:
-                    if state["winner"] == "hedge":
-                        self._m_hedge_wins.inc()
-                    return state["reply"]
-                if state["finished"] >= len(threads):
-                    raise state["errors"][0]
-                done.clear()
 
     @staticmethod
     def _parse_search_reply(reply: dict, request_id: int) -> SearchResponse:

@@ -13,16 +13,17 @@ scatter-gather every query over protocol v2:
 * :mod:`~repro.service.cluster.merge` — the globally consistent
   top-k merge, provably bit-identical to the single-node ranking;
 * :mod:`~repro.service.cluster.coordinator` —
-  :class:`ClusterCoordinator`: threaded fan-out with group-min
-  deadline propagation, per-node circuit breakers, hedged reads
-  against replicas, coverage-degrading partial gathers; also the
+  :class:`ClusterCoordinator`, the cluster's one client: threaded
+  fan-out with group-min deadline propagation, per-node circuit
+  breakers, failover to replicas, coverage-degrading partial gathers;
+  built from a bound topology, a manifest
+  (``ClusterCoordinator(ClusterTopology.load(path))``) or bare node
+  addresses (:meth:`ClusterCoordinator.from_addresses`); also the
   cluster's observability root — it opens the root span each query,
   propagates trace context on the wire, stitches per-node subtrees
   back together (:meth:`ClusterCoordinator.trace`), and aggregates
-  fleet metrics (:meth:`ClusterCoordinator.fleet_metrics`, built on
+  fleet metrics (:attr:`ClusterCoordinator.aggregator`, built on
   :class:`repro.obs.MetricsAggregator` / :class:`repro.obs.SloTracker`);
-* :mod:`~repro.service.cluster.client` — :class:`ClusterClient`, the
-  drop-in ``SearchClient``-shaped facade;
 * :mod:`~repro.service.cluster.local` — :class:`LocalCluster`,
   spawn-local topologies (threads for dev/chaos, ``repro serve``
   subprocesses for honest scale-out measurement);
@@ -36,7 +37,6 @@ scatter-gather every query over protocol v2:
   element between queries.
 """
 
-from .client import ClusterClient
 from .coordinator import ClusterCoordinator, NodeChannel, NodeEjected
 from .healthd import HealthMonitor, NodeHealth
 from .local import LocalCluster
@@ -45,7 +45,6 @@ from .supervisor import ClusterSupervisor
 from .topology import ClusterTopology, NodeSpec, partition_index
 
 __all__ = [
-    "ClusterClient",
     "ClusterCoordinator",
     "ClusterSupervisor",
     "ClusterTopology",

@@ -1,10 +1,13 @@
 """The coordinator: scatter a query over shard nodes, gather, merge.
 
-One :class:`ClusterCoordinator` owns a live channel per non-empty
-topology node — a :class:`~repro.service.client.SearchClient` to the
-node's primary address, optional replica clients, and a per-node
+:class:`ClusterCoordinator` is the cluster's one client — the host
+program of the paper's multi-board setup, which sends the query to
+every board and reduces the few-byte answers.  It owns a live channel
+per non-empty topology node — a
+:class:`~repro.service.client.SearchClient` to the node's primary
+address, optional replica clients, and a per-node
 :class:`~repro.service.guard.CircuitBreaker` — and turns one logical
-search into a fan-out over protocol v2:
+search into one fan-out over protocol v2:
 
 * **scatter** — every non-empty node gets the same request (same
   options, same remaining ``deadline_ms``: the group-min budget is
@@ -19,11 +22,8 @@ Failure semantics follow the taxonomy: a ``bad-request`` answer from
 any node is the *query's* fault and is raised as-is (every node would
 say the same); transport failures, breaker-open fast-fails and
 deadline expiries degrade coverage by exactly the node's span.
-Replicas make hedged reads cheap: when a node has replicas and its
-:class:`~repro.service.guard.HedgePolicy` can name a delay, a slow
-primary read is duplicated against a replica and the first answer
-wins; replicas also serve as straight failover when the primary's
-transport is down.
+Replicas serve as straight failover when the primary's transport is
+down.
 """
 
 from __future__ import annotations
@@ -48,13 +48,13 @@ from ...obs import (
 from .. import QueryOptions, resolve_query_options
 from ..client import SearchClient
 from ..engine import SearchResponse
-from ..guard import CircuitBreaker, CircuitOpen, HedgePolicy
+from ..guard import CircuitBreaker
 from ..resilience import BadRequest, Deadline, DeadlineExceeded, RetryPolicy
 from .healthd import HealthMonitor
 from .merge import NodeAnswer, merge_node_responses
 from .topology import ClusterTopology, NodeSpec
 
-__all__ = ["ClusterCoordinator", "NodeChannel", "NodeEjected"]
+__all__ = ["ClusterCoordinator", "NodeChannel", "NodeEjected", "default_breaker"]
 
 
 class NodeEjected(ConnectionError):
@@ -71,8 +71,15 @@ class NodeEjected(ConnectionError):
 _DEGRADABLE = (ConnectionError, OSError, EOFError, TimeoutError, DeadlineExceeded)
 
 
+def default_breaker(node_id: int) -> CircuitBreaker:
+    """The per-node breaker: open after 3 transport-class failures, for 1 s."""
+    return CircuitBreaker(
+        failure_threshold=3, recovery_time=1.0, name=f"node-{node_id}"
+    )
+
+
 class NodeChannel:
-    """One node's client stack: primary, replicas, breaker, hedge.
+    """One node's client stack: primary, replicas, breaker.
 
     The breaker wraps the whole channel (not each socket): what the
     coordinator needs to know is "can this *node* answer", and the
@@ -87,14 +94,12 @@ class NodeChannel:
         spec: NodeSpec,
         client_factory: Callable[..., SearchClient],
         breaker: CircuitBreaker | None,
-        hedge: HedgePolicy | None,
         retry: RetryPolicy,
         timeout: float | None,
         obs: Observability,
     ) -> None:
         self.spec = spec
         self.breaker = breaker
-        self.hedge = hedge
         self.obs = obs
         self._client_factory = client_factory
         self._client_kwargs = {"retry": retry, "timeout": timeout, "obs": obs}
@@ -146,21 +151,16 @@ class NodeChannel:
         parent_span: str | None = None,
         events: list[tuple[str, dict]] | None = None,
     ) -> SearchResponse:
-        """One search against this node; hedge/fail over to replicas.
+        """One search against this node; fail over to a replica.
 
         ``trace_id``/``parent_span`` are injected on the wire so the
         node's span tree joins the coordinator's trace.  ``events`` (a
-        caller-owned list) collects what happened to this leg —
-        failover, hedge — with an ``at`` offset relative to leg start,
-        so the coordinator can pin incidents to the correct node span.
+        caller-owned list) collects a failover with an ``at`` offset
+        relative to leg start, so the coordinator can pin it to the
+        correct node span.
         """
         if self.breaker is not None:
             self.breaker.allow()
-        delay = self.hedge.delay() if self.hedge is not None else None
-        if delay is not None and self.replicas:
-            return self._search_hedged(
-                query, options, delay, trace_id, parent_span, events
-            )
         t0 = time.monotonic()
         try:
             response = self.primary.search(
@@ -195,83 +195,6 @@ class NodeChannel:
             raise
         if self.breaker is not None:
             self.breaker.record_success()
-        if self.hedge is not None:
-            self.hedge.observe(time.monotonic() - t0)
-        return response
-
-    def _search_hedged(
-        self,
-        query: str,
-        options: QueryOptions,
-        delay: float,
-        trace_id: str | None = None,
-        parent_span: str | None = None,
-        events: list[tuple[str, dict]] | None = None,
-    ) -> SearchResponse:
-        """Primary read, duplicated on a replica if slow; first answer wins."""
-        done = threading.Event()
-        lock = threading.Lock()
-        state: dict = {"response": None, "errors": [], "finished": 0, "started": 1}
-
-        def attempt(client: SearchClient) -> None:
-            try:
-                response = client.search(
-                    query, options, trace_id=trace_id, parent_span=parent_span
-                )
-            except BaseException as exc:  # noqa: BLE001 - collected below
-                with lock:
-                    state["errors"].append(exc)
-                    state["finished"] += 1
-                done.set()
-                return
-            with lock:
-                if state["response"] is None:
-                    state["response"] = response
-                state["finished"] += 1
-            done.set()
-
-        t0 = time.monotonic()
-        primary = threading.Thread(
-            target=attempt, args=(self.primary,), daemon=True
-        )
-        primary.start()
-        if not done.wait(delay):
-            replica = self._next_replica()
-            if replica is not None:
-                with lock:
-                    state["started"] += 1
-                self.obs.log.debug(
-                    "cluster.hedge", node=self.spec.node_id, after=f"{delay:.4f}s"
-                )
-                if events is not None:
-                    events.append(
-                        (
-                            "hedge",
-                            {
-                                "node": self.spec.node_id,
-                                "at": time.monotonic() - t0,
-                            },
-                        )
-                    )
-                threading.Thread(
-                    target=attempt, args=(replica,), daemon=True
-                ).start()
-        while True:
-            done.wait()
-            with lock:
-                if state["response"] is not None:
-                    response = state["response"]
-                    break
-                if state["finished"] >= state["started"]:
-                    error = state["errors"][0]
-                    if self.breaker is not None:
-                        self.breaker.record_failure(error)
-                    raise error
-                done.clear()
-        if self.breaker is not None:
-            self.breaker.record_success()
-        if self.hedge is not None:
-            self.hedge.observe(time.monotonic() - t0)
         return response
 
     def ping(self) -> bool:
@@ -292,9 +215,8 @@ class ClusterCoordinator:
     Parameters
     ----------
     topology:
-        Bound topology (every non-empty node needs an address).
-    defaults:
-        Default :class:`~repro.service.QueryOptions` for searches.
+        Bound topology (every non-empty node needs an address); see
+        also :meth:`from_addresses` and ``ClusterTopology.load``.
     client_factory:
         Hook building each node's :class:`SearchClient` from an
         ``address`` string plus keyword arguments — the chaos harness
@@ -302,18 +224,15 @@ class ClusterCoordinator:
         ``SearchClient`` itself.
     breaker_factory:
         Per-node breaker builder (``node_id -> CircuitBreaker``);
-        ``None`` disables breaking.  The default trips a node open
-        after 3 consecutive transport-class failures for 1 s.
-    hedge_factory:
-        Per-node :class:`HedgePolicy` builder; ``None`` (default)
-        disables hedged reads.  Hedging only ever fires against
-        replicas — a node without replicas is never hedged.
-    retry, timeout:
-        Forwarded to every node client.  The default retry is **0**:
-        the coordinator's own degradation semantics (drop the node,
-        answer partial) replace the single-client retry loop, and a
-        retry storm under fan-out multiplies load exactly when the
-        cluster is least able to take it.
+        ``None`` disables breaking.  The default,
+        :func:`default_breaker`, trips a node open after 3 consecutive
+        transport-class failures for 1 s.
+    timeout:
+        Socket timeout forwarded to every node client.  Node clients
+        never retry: the coordinator's own degradation semantics (drop
+        the node, answer partial) replace the single-client retry
+        loop, and a retry storm under fan-out multiplies load exactly
+        when the cluster is least able to take it.
     gather_timeout:
         Budget in seconds for a gather when the request itself
         carries no deadline.
@@ -328,11 +247,8 @@ class ClusterCoordinator:
     def __init__(
         self,
         topology: ClusterTopology,
-        defaults: QueryOptions | None = None,
         client_factory: Callable[..., SearchClient] | None = None,
-        breaker_factory: Callable[[int], CircuitBreaker] | None = "default",  # type: ignore[assignment]
-        hedge_factory: Callable[[int], HedgePolicy] | None = None,
-        retry: RetryPolicy | None = None,
+        breaker_factory: Callable[[int], CircuitBreaker] | None = default_breaker,
         timeout: float | None = 30.0,
         gather_timeout: float = 30.0,
         obs: Observability | None = None,
@@ -342,22 +258,15 @@ class ClusterCoordinator:
             if not node.address:
                 raise ValueError(f"node {node.node_id} has no address")
         self.topology = topology
-        self.defaults = defaults if defaults is not None else QueryOptions()
         self.gather_timeout = gather_timeout
         self.obs = obs if obs is not None else NULL_OBS
         factory = client_factory if client_factory is not None else SearchClient
-        if breaker_factory == "default":
-            breaker_factory = lambda node_id: CircuitBreaker(  # noqa: E731
-                failure_threshold=3, recovery_time=1.0, name=f"node-{node_id}"
-            )
-        retry = retry if retry is not None else RetryPolicy(retries=0)
         self.channels: dict[int, NodeChannel] = {
             node.node_id: NodeChannel(
                 spec=node,
                 client_factory=factory,
                 breaker=breaker_factory(node.node_id) if breaker_factory else None,
-                hedge=hedge_factory(node.node_id) if hedge_factory else None,
-                retry=retry,
+                retry=RetryPolicy(retries=0),
                 timeout=timeout,
                 obs=self.obs,
             )
@@ -403,6 +312,33 @@ class ClusterCoordinator:
             "cluster_skipped_down_total",
             "Fan-out legs skipped because the health monitor held the node down",
         )
+
+    @classmethod
+    def from_addresses(
+        cls,
+        addresses: Sequence[str],
+        timeout: float | None = 10.0,
+        obs: Observability | None = None,
+        **kwargs,
+    ) -> "ClusterCoordinator":
+        """Coordinate running nodes given only their addresses.
+
+        Probes each node's ``stats`` for its record count and declares
+        the spans contiguous in address order — the order
+        :func:`~repro.service.cluster.topology.partition_index` shipped
+        them in.
+        """
+        counts = []
+        versions = []
+        for address in addresses:
+            with SearchClient(address, timeout=timeout) as probe:
+                stats = probe.stats()
+            counts.append(int(stats.get("records", 0)))
+            versions.append(str(stats.get("version", "")))
+        topology = ClusterTopology.from_record_counts(
+            counts, list(addresses), version=versions[0] if versions else ""
+        )
+        return cls(topology, timeout=timeout, obs=obs, **kwargs)
 
     # ------------------------------------------------------------------
     # Self-healing hooks
@@ -564,10 +500,10 @@ class ClusterCoordinator:
         trace: the root ``cluster.search`` span's id rides every wire
         frame, each node's server adopts it, and
         :meth:`trace`/:meth:`trace_tree` later stitch the per-node
-        subtrees (with cells-swept and failover/hedge/ejection events)
+        subtrees (with cells-swept and failover/ejection events)
         under the ``node.search`` legs recorded here.
         """
-        resolved = resolve_query_options(options, self.defaults).validate()
+        resolved = resolve_query_options(options).validate()
         deadline = (
             Deadline.after_ms(resolved.deadline_ms)
             if resolved.deadline_ms is not None
@@ -649,117 +585,6 @@ class ClusterCoordinator:
             )
         return response
 
-    def search_batch(
-        self, queries: Sequence[str], options: QueryOptions | None = None
-    ) -> list[SearchResponse]:
-        """Batch fan-out: scatter the whole batch, merge per query.
-
-        Every node receives the batch pipelined on one connection, so
-        its server's micro-batching window turns N queries into one
-        sweep — the cluster-level counterpart of
-        ``SearchEngine.search_batch``.  Per-query failures inside one
-        node's batch degrade that node for that query only.
-        """
-        resolved = resolve_query_options(options, self.defaults).validate()
-        queries = list(queries)
-        if not queries:
-            return []
-        with self.obs.tracer.span(
-            "cluster.batch", queries=len(queries), nodes=len(self.channels)
-        ) as batch_root:
-            trace_id = batch_root.trace_id or None
-            self.last_trace_id = trace_id
-            return self._search_batch_inner(queries, resolved, trace_id)
-
-    def _search_batch_inner(
-        self,
-        queries: list[str],
-        resolved: QueryOptions,
-        trace_id: str | None,
-    ) -> list[SearchResponse]:
-        leg_seconds: dict[int, float] = {}
-
-        def node_batch(
-            node_id: int, channel: NodeChannel
-        ) -> list[SearchResponse | BaseException]:
-            t0 = time.monotonic()
-            try:
-                if channel.breaker is not None:
-                    channel.breaker.allow()
-                try:
-                    results = channel.primary.search_pipelined(
-                        queries,
-                        resolved,
-                        trace_id=trace_id,
-                        parent_span="cluster.batch",
-                    )
-                except BaseException as exc:  # noqa: BLE001 - degraded below
-                    if channel.breaker is not None:
-                        channel.breaker.record_failure(exc)
-                    raise
-                if channel.breaker is not None:
-                    channel.breaker.record_success()
-                return results
-            finally:
-                leg_seconds[node_id] = time.monotonic() - t0
-
-        per_node: dict[int, list[SearchResponse | BaseException] | None] = {}
-        futures = {}
-        for node_id, channel in self.channels.items():
-            if self.monitor is not None and not self.monitor.is_up(node_id):
-                self._m_skipped.inc()
-                per_node[node_id] = None
-                continue
-            futures[self._executor.submit(node_batch, node_id, channel)] = node_id
-        for future, node_id in futures.items():
-            try:
-                per_node[node_id] = future.result(timeout=self.gather_timeout)
-            except BadRequest:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                per_node[node_id] = None
-                self.obs.log.warning(
-                    "cluster.node-failed", node=node_id, error=type(exc).__name__
-                )
-        # Record each leg in the batch trace so node subtrees have a
-        # parent span to stitch under (mirrors _gather's node.search).
-        for node_id, results in per_node.items():
-            self.obs.tracer.add_span(
-                "node.search",
-                seconds=leg_seconds.get(node_id, 0.0),
-                node=node_id,
-                answered=results is not None,
-                queries=len(queries),
-            )
-
-        responses = []
-        for rank, query in enumerate(queries):
-            answers = []
-            for node_id, results in per_node.items():
-                if results is None:
-                    answers.append(
-                        NodeAnswer(
-                            node_id=node_id,
-                            response=None,
-                            error=ConnectionError("node batch failed"),
-                        )
-                    )
-                    continue
-                result = results[rank]
-                if isinstance(result, BadRequest):
-                    raise result
-                if isinstance(result, BaseException):
-                    answers.append(
-                        NodeAnswer(node_id=node_id, response=None, error=result)
-                    )
-                else:
-                    answers.append(NodeAnswer(node_id=node_id, response=result))
-            responses.append(
-                merge_node_responses(query.upper(), answers, self.topology, resolved)
-            )
-            self._m_requests.inc()
-        return responses
-
     # ------------------------------------------------------------------
     # Distributed observability: stitched traces, fleet metrics
     # ------------------------------------------------------------------
@@ -838,14 +663,6 @@ class ClusterCoordinator:
             self._aggregator = MetricsAggregator.from_coordinator(self)
         return self._aggregator
 
-    def fleet_metrics(self) -> str:
-        """One merged Prometheus exposition: every node + fleet rollups."""
-        return self.aggregator.scrape().render_prometheus()
-
-    def fleet_snapshot(self) -> dict[str, object]:
-        """One merged JSON snapshot (``repro cluster stats --json``)."""
-        return self.aggregator.scrape().snapshot()
-
     # ------------------------------------------------------------------
     def health(self) -> dict[str, object]:
         """Cluster liveness: ping every channel, report per-node state.
@@ -894,16 +711,6 @@ class ClusterCoordinator:
         if self.monitor is not None:
             payload["monitor"] = self.monitor.describe()
         return payload
-
-    def stats(self) -> dict[str, object]:
-        """Per-node server stats keyed by node id (best effort)."""
-        stats: dict[str, object] = {}
-        for node_id, channel in self.channels.items():
-            try:
-                stats[str(node_id)] = channel.primary.stats()
-            except Exception as exc:  # noqa: BLE001 - best-effort admin
-                stats[str(node_id)] = {"error": f"{type(exc).__name__}: {exc}"}
-        return stats
 
     def close(self) -> None:
         if self.monitor is not None:

@@ -17,7 +17,7 @@ Two modes, one surface:
 Either way, :meth:`LocalCluster.topology` hands back a bound
 :class:`~repro.service.cluster.topology.ClusterTopology` and
 :meth:`LocalCluster.client` a ready
-:class:`~repro.service.cluster.client.ClusterClient`.
+:class:`~repro.service.cluster.coordinator.ClusterCoordinator`.
 :meth:`kill_node` exists for the chaos schedules: it stops one node's
 primary server (replicas keep serving) so coverage-degradation
 invariants can be asserted against a real dead node.
@@ -38,7 +38,7 @@ from .. import QueryOptions
 from ..engine import SearchEngine
 from ..index import DEFAULT_SHARD_BP, DatabaseIndex
 from ..net import ServerConfig, ServerThread
-from .client import ClusterClient
+from .coordinator import ClusterCoordinator
 from .topology import ClusterTopology, partition_index
 
 __all__ = ["LocalCluster"]
@@ -220,8 +220,8 @@ class LocalCluster:
         nodes own empty spans and are simply never spawned or queried.
     replicas:
         Replica servers per node (thread mode only) — extra serving
-        paths over the same node engine, enabling hedged reads and
-        failover in the coordinator.
+        paths over the same node engine, which the coordinator fails
+        over to when a node's primary is down.
     mode:
         ``"thread"`` (in-process, default) or ``"process"`` (one
         ``repro serve`` subprocess per node).
@@ -307,9 +307,9 @@ class LocalCluster:
     def addresses(self) -> list[str]:
         return [address for address in self._topology.addresses if address]
 
-    def client(self, **coordinator_kwargs) -> ClusterClient:
+    def client(self, **coordinator_kwargs) -> ClusterCoordinator:
         coordinator_kwargs.setdefault("obs", self.obs)
-        return ClusterClient(self._topology, **coordinator_kwargs)
+        return ClusterCoordinator(self._topology, **coordinator_kwargs)
 
     def kill_node(self, node_id: int) -> None:
         """Stop one node's primary server (chaos: a dead shard node).

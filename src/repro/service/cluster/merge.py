@@ -54,7 +54,7 @@ class NodeAnswer:
 
     ``events`` records what happened to this leg on the way —
     ``("failover", ...)`` when a replica answered for a dead primary,
-    ``("hedge", ...)``, ``("ejected", ...)``, ``("timeout", ...)`` —
+    ``("ejected", ...)``, ``("failed", ...)``, ``("timeout", ...)`` —
     so the coordinator can pin each incident to the correct node span
     in the stitched trace.
     """

@@ -46,9 +46,9 @@ class NodeSpec:
 
     ``address`` is ``host:port`` (may be empty before the node is
     bound); ``replicas`` are addresses serving the *same* span, used
-    for hedged reads and failover.  ``index_path`` optionally records
-    where the node's sub-index file lives (the ``partition`` CLI
-    writes it so ``serve`` can find it).
+    for failover.  ``index_path`` optionally records where the node's
+    sub-index file lives (the ``partition`` CLI writes it so ``serve``
+    can find it).
     """
 
     node_id: int

@@ -1,4 +1,4 @@
-"""Cross-layer robustness: circuit breaking, hedging, hot index reload.
+"""Cross-layer robustness: circuit breaking, admission control, hot index reload.
 
 The paper's host↔board contract assumes the wavefront never stalls
 mid-scan; a service has to *engineer* that guarantee.  This module
@@ -11,10 +11,6 @@ holds the guard-rail machinery the request path threads through:
   breaker opens and callers fail fast with :class:`CircuitOpen`; after
   ``recovery_time`` it half-opens and lets ``half_open_max`` probes
   through, closing again on the first success.
-* :class:`HedgePolicy` — tail-latency hedging for the client: once
-  enough latency samples exist, a request that has not answered within
-  the configured percentile earns a second, duplicate request on a
-  fresh connection; whichever answers first wins.
 * :class:`AdaptiveLimiter` — an AIMD concurrency limit for the TCP
   front-end: on-time completions grow the admission limit additively
   (one extra slot per window of completions), deadline misses and
@@ -69,7 +65,6 @@ __all__ = [
     "CircuitOpen",
     "Deadline",
     "DeadlineExceeded",
-    "HedgePolicy",
     "IndexManager",
     "ServiceTimeTracker",
 ]
@@ -259,70 +254,6 @@ class CircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# Hedging
-# ----------------------------------------------------------------------
-class HedgePolicy:
-    """When to issue a duplicate request against the same endpoint.
-
-    Hedging trades a little extra load for a bounded tail: if the
-    first attempt has not answered within the ``percentile`` of the
-    observed latency distribution, a second identical request goes out
-    and the first answer wins.  Until ``min_samples`` observations
-    exist there is nothing to take a percentile of and :meth:`delay`
-    returns ``None`` (no hedging); ``fixed_delay`` bypasses the
-    estimator entirely, which is what deterministic tests use.
-    """
-
-    def __init__(
-        self,
-        percentile: float = 0.95,
-        min_samples: int = 20,
-        max_samples: int = 256,
-        fixed_delay: float | None = None,
-    ) -> None:
-        if not 0.0 < percentile < 1.0:
-            raise ValueError(f"percentile must be in (0, 1), got {percentile}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be positive, got {min_samples}")
-        if max_samples < min_samples:
-            raise ValueError("max_samples cannot be below min_samples")
-        if fixed_delay is not None and fixed_delay < 0:
-            raise ValueError(f"fixed_delay cannot be negative, got {fixed_delay}")
-        self.percentile = percentile
-        self.min_samples = min_samples
-        self.max_samples = max_samples
-        self.fixed_delay = fixed_delay
-        self._samples: list[float] = []
-        self._lock = threading.Lock()
-
-    def observe(self, seconds: float) -> None:
-        """Feed one successful-request latency into the estimator."""
-        with self._lock:
-            self._samples.append(seconds)
-            if len(self._samples) > self.max_samples:
-                # Sliding window: old latencies stop describing the
-                # endpoint once conditions change.
-                del self._samples[: len(self._samples) - self.max_samples]
-
-    def delay(self) -> float | None:
-        """Seconds to wait before hedging; ``None`` means do not hedge."""
-        if self.fixed_delay is not None:
-            return self.fixed_delay
-        with self._lock:
-            if len(self._samples) < self.min_samples:
-                return None
-            ordered = sorted(self._samples)
-            rank = min(
-                int(self.percentile * len(ordered)), len(ordered) - 1
-            )
-            return ordered[rank]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
-
-# ----------------------------------------------------------------------
 # Adaptive admission control (AIMD)
 # ----------------------------------------------------------------------
 class AdaptiveLimiter:
@@ -433,11 +364,10 @@ class AdaptiveLimiter:
 class ServiceTimeTracker:
     """Sliding-window service-time percentiles for admission shedding.
 
-    Structurally a sibling of :class:`HedgePolicy`'s estimator, but
-    queried with an explicit percentile: the front-end asks for the
-    p90 and refuses a request whose remaining deadline budget is
-    smaller — that request would occupy a sweep slot and then expire,
-    which under overload is precisely the work to drop first.  Until
+    The front-end asks for the p90 and refuses a request whose
+    remaining deadline budget is smaller — that request would occupy a
+    sweep slot and then expire, which under overload is precisely the
+    work to drop first.  Until
     ``min_samples`` observations exist :meth:`percentile` returns
     ``None`` and no shedding happens (a cold server has no opinion).
     """

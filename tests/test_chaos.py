@@ -14,11 +14,16 @@ The invariants under test are the hardening contract end to end:
 
 Seeds are fixed, so a failure here is replayable with
 ``python -m repro.service.chaos --seed <seed>``; when CI sets
-``REPRO_CHAOS_LOG`` the full injection log is archived as evidence.
+``REPRO_CHAOS_LOG`` the full injection log is archived as evidence,
+one file per runner (:func:`own_chaos_log`).
 """
 
+import contextlib
 import dataclasses
 import json
+import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -53,11 +58,39 @@ REQUESTS = 24
 FAULT_RATE = 0.5
 
 
+@contextlib.contextmanager
+def own_chaos_log(name):
+    """Point ``$REPRO_CHAOS_LOG`` at a file of ``name``'s own.
+
+    Every runner dumps its event log to the path the variable names, so
+    with one path for the whole file each run would overwrite the last
+    and an archived log could be another run's evidence.  While the
+    variable is set, ``chaos_events.json`` becomes
+    ``chaos_events.<name>.json`` beside it for the duration.
+    """
+    archive = os.environ.get(CHAOS_LOG_ENV)
+    with pytest.MonkeyPatch.context() as patch:
+        if archive:
+            path = Path(archive)
+            label = re.sub(r"[^\w.-]+", "_", name).strip("_")
+            patch.setenv(
+                CHAOS_LOG_ENV, str(path.with_name(f"{path.stem}.{label}{path.suffix}"))
+            )
+        yield
+
+
+@pytest.fixture(autouse=True)
+def _per_test_chaos_log(request):
+    with own_chaos_log(request.node.nodeid.split("::", 1)[-1]):
+        yield
+
+
 @pytest.fixture(scope="module")
 def chaos_report():
     """One full chaos run shared by every invariant test (it is the
     expensive part; the assertions are free)."""
-    return run_chaos(seed=SEED, requests=REQUESTS, fault_rate=FAULT_RATE)
+    with own_chaos_log("chaos_report"):
+        return run_chaos(seed=SEED, requests=REQUESTS, fault_rate=FAULT_RATE)
 
 
 class TestScheduleDeterminism:
@@ -220,6 +253,16 @@ class TestEventLog:
         # seq numbers record injection order explicitly.
         assert [e["seq"] for e in events] == list(range(len(events)))
 
+    def test_each_runner_gets_its_own_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CHAOS_LOG_ENV, str(tmp_path / "chaos_events.json"))
+        with own_chaos_log("TestX::test_y[a-1]"):
+            inner = os.environ[CHAOS_LOG_ENV]
+        assert inner == str(tmp_path / "chaos_events.TestX_test_y_a-1.json")
+        assert os.environ[CHAOS_LOG_ENV] == str(tmp_path / "chaos_events.json")
+        monkeypatch.delenv(CHAOS_LOG_ENV)
+        with own_chaos_log("anything"):
+            assert CHAOS_LOG_ENV not in os.environ
+
     def test_log_records_are_threadsafe_appends(self):
         log = ChaosEventLog()
         log.record("a", x=1)
@@ -230,7 +273,8 @@ class TestEventLog:
 
 @pytest.fixture(scope="module")
 def ingest_report():
-    return run_ingest_chaos(seed=5, n_new=4, seal_every=2, tcp=False)
+    with own_chaos_log("ingest_report"):
+        return run_ingest_chaos(seed=5, n_new=4, seal_every=2, tcp=False)
 
 
 class TestIngestChaosSmoke:

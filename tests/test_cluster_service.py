@@ -21,7 +21,6 @@ from repro.service import DatabaseIndex, QueryOptions, SearchClient, SearchEngin
 from repro.service.cache import ResultCache
 from repro.service.chaos import response_signature, run_cluster_chaos
 from repro.service.cluster import (
-    ClusterClient,
     ClusterCoordinator,
     ClusterTopology,
     LocalCluster,
@@ -253,17 +252,6 @@ class TestCoordinatorEndToEnd:
                     assert response_signature(got) == response_signature(want)
                     assert got.report.hits == want.report.hits
 
-    def test_search_batch_matches_single_node(self, shared_index):
-        queries = [random_dna(30, seed=40 + q) for q in range(4)]
-        single = SearchEngine(shared_index, cache=ResultCache(0))
-        with LocalCluster(shared_index, nodes=2, batch_window=0.0) as cluster:
-            with cluster.client() as client:
-                got = client.search_batch(queries, self.OPTIONS)
-        want = [single.search(q, self.OPTIONS) for q in queries]
-        assert [response_signature(g) for g in got] == [
-            response_signature(w) for w in want
-        ]
-
     def test_killed_node_degrades_by_its_span(self, shared_index):
         with LocalCluster(shared_index, nodes=3, batch_window=0.0) as cluster:
             topology = cluster.topology()
@@ -341,9 +329,9 @@ class TestCoordinatorEndToEnd:
         single = SearchEngine(shared_index, cache=ResultCache(0))
         query = random_dna(30, seed=64)
         with LocalCluster(shared_index, nodes=3, batch_window=0.0) as cluster:
-            with ClusterClient.from_addresses(cluster.addresses) as client:
+            with ClusterCoordinator.from_addresses(cluster.addresses) as client:
                 assert client.topology.total_records == shared_index.record_count
-                assert client.ping()
+                assert client.health()["ready"]
                 got = client.search(query, self.OPTIONS)
         assert response_signature(got) == response_signature(
             single.search(query, self.OPTIONS)
@@ -402,8 +390,9 @@ class TestClusterObservability:
             with cluster.client() as client:
                 for query in queries:
                     client.search(query, self.OPTIONS)
-                exposition = validate_exposition(client.fleet_metrics())
-                snapshot = client.fleet_snapshot()
+                view = client.aggregator.scrape()
+        exposition = validate_exposition(view.render_prometheus())
+        snapshot = view.snapshot()
         nodes = {
             dict(s.labels).get("node")
             for s in exposition.samples
@@ -468,6 +457,24 @@ class TestClusterCLI:
 
         assert main(["cluster", "slo", live_cluster, query, "--probes", "3"]) == 0
         assert "slo ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_stats_scrapes_the_fleet_once(self, live_cluster, flags, monkeypatch):
+        """The printed view and the exit code come from one scrape, so a
+        node dying mid-command cannot make them disagree."""
+        from repro.cli import main
+        from repro.obs import MetricsAggregator
+
+        calls = []
+        scrape = MetricsAggregator.scrape
+
+        def counted(self):
+            calls.append(self)
+            return scrape(self)
+
+        monkeypatch.setattr(MetricsAggregator, "scrape", counted)
+        assert main(["cluster", "stats", live_cluster, *flags]) == 0
+        assert len(calls) == 1
 
     def test_unknown_trace_id_exits_one(self, live_cluster, capsys):
         from repro.cli import main

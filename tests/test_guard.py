@@ -1,4 +1,4 @@
-"""Guard-rail unit tests: deadlines, circuit breaking, hedging, reload.
+"""Guard-rail unit tests: deadlines, circuit breaking, reload.
 
 The breaker runs on an injected fake clock, so every state transition
 (closed → open → half-open → closed, and half-open re-trip) is tested
@@ -21,7 +21,6 @@ from repro.service import (
     DatabaseIndex,
     Deadline,
     DeadlineExceeded,
-    HedgePolicy,
     IndexManager,
     Overloaded,
     QueryOptions,
@@ -260,90 +259,6 @@ class TestBreakerOverTheWire:
         assert FailingEngine.calls == 2
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.short_circuits == 1
-
-
-# ----------------------------------------------------------------------
-# Hedging
-# ----------------------------------------------------------------------
-class TestHedgePolicy:
-    def test_no_delay_until_min_samples(self):
-        policy = HedgePolicy(min_samples=5)
-        for latency in (0.01, 0.02, 0.03, 0.04):
-            policy.observe(latency)
-        assert policy.delay() is None
-        policy.observe(0.05)
-        assert policy.delay() is not None
-
-    def test_percentile_of_observed_latencies(self):
-        policy = HedgePolicy(percentile=0.5, min_samples=4)
-        for latency in (0.04, 0.01, 0.03, 0.02):
-            policy.observe(latency)
-        assert policy.delay() == 0.03  # median of the sorted window
-
-    def test_fixed_delay_bypasses_estimator(self):
-        policy = HedgePolicy(fixed_delay=0.123)
-        assert policy.delay() == 0.123  # no samples needed
-
-    def test_sliding_window_forgets_old_latencies(self):
-        policy = HedgePolicy(min_samples=2, max_samples=3)
-        for latency in (9.0, 9.0, 9.0, 0.01, 0.01, 0.01):
-            policy.observe(latency)
-        assert len(policy) == 3
-        assert policy.delay() < 1.0  # the 9s latencies aged out
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="percentile"):
-            HedgePolicy(percentile=1.0)
-        with pytest.raises(ValueError, match="min_samples"):
-            HedgePolicy(min_samples=0)
-        with pytest.raises(ValueError, match="max_samples"):
-            HedgePolicy(min_samples=10, max_samples=5)
-        with pytest.raises(ValueError, match="fixed_delay"):
-            HedgePolicy(fixed_delay=-0.1)
-
-    def test_first_answer_wins(self, monkeypatch):
-        """The hedge fires after the delay and its answer is returned
-        while the stalled primary is still in flight."""
-        client = SearchClient(
-            "127.0.0.1", 1, hedge=HedgePolicy(fixed_delay=0.01)
-        )
-        primary_started = threading.Event()
-        release_primary = threading.Event()
-        answers = {"primary": object(), "hedge": object()}
-        calls = []
-        lock = threading.Lock()
-
-        def fake_once(query, resolved, trace_id=None, parent_span=None):
-            with lock:
-                first = not calls
-                calls.append(query)
-            if first:
-                primary_started.set()
-                release_primary.wait(5)
-                return answers["primary"]
-            return answers["hedge"]
-
-        monkeypatch.setattr(client, "_search_once", fake_once)
-        try:
-            result = client.search("ACGT")
-            assert primary_started.is_set()
-            assert result is answers["hedge"]
-            assert len(calls) == 2
-        finally:
-            release_primary.set()
-
-    def test_all_attempts_failing_raises_primary_error(self, monkeypatch):
-        client = SearchClient(
-            "127.0.0.1", 1, hedge=HedgePolicy(fixed_delay=0.0)
-        )
-        primary_error = ConnectionError("primary refused")
-
-        def fake_once(query, resolved, trace_id=None, parent_span=None):
-            raise primary_error
-
-        monkeypatch.setattr(client, "_search_once", fake_once)
-        with pytest.raises(ConnectionError, match="primary refused"):
-            client.search("ACGT")
 
 
 # ----------------------------------------------------------------------

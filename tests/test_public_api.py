@@ -45,14 +45,13 @@ def test_service_stable_surface_pinned():
         "BadRequest",
         "CircuitBreaker",
         "CircuitOpen",
-        "ClusterClient",
+        "ClusterCoordinator",
         "ClusterSupervisor",
         "ClusterTopology",
         "DatabaseIndex",
         "Deadline",
         "DeadlineExceeded",
         "HealthMonitor",
-        "HedgePolicy",
         "IndexCorrupt",
         "IndexFormatError",
         "IndexManager",

@@ -402,7 +402,6 @@ class TestNodeChannelPing:
             spec,
             client_factory=lambda address, **kw: ExplodingClient(address, exc=exc),
             breaker=None,
-            hedge=None,
             retry=RetryPolicy(retries=0),
             timeout=1.0,
             obs=NULL_OBS,
@@ -451,8 +450,7 @@ class TestSelfHealIntegration:
         index = make_index(n_records=12)
         query = random_dna(30, seed=42)
         with LocalCluster(index, nodes=3, batch_window=0.0) as cluster:
-            with cluster.client(breaker_factory=None) as client:
-                coordinator = client.coordinator
+            with cluster.client(breaker_factory=None) as coordinator:
                 monitor = HealthMonitor(
                     coordinator.channels,
                     jitter=0.0,
@@ -461,19 +459,19 @@ class TestSelfHealIntegration:
                 )
                 coordinator.monitor = monitor
                 supervisor = ClusterSupervisor(cluster, coordinators=[coordinator])
-                baseline = client.search(query, OPTIONS)
+                baseline = coordinator.search(query, OPTIONS)
                 assert baseline.coverage == 1.0
                 cluster.kill_node(1)
                 monitor.tick()
                 monitor.tick()
                 assert monitor.down_nodes == {1}
-                degraded = client.search(query, OPTIONS)
+                degraded = coordinator.search(query, OPTIONS)
                 assert degraded.coverage < 1.0
                 assert degraded.degraded_shards == (1,)
                 assert supervisor.check_once() == [1]
                 monitor.tick()  # probation probe hits the new address
                 assert monitor.down_nodes == set()
-                healed = client.search(query, OPTIONS)
+                healed = coordinator.search(query, OPTIONS)
                 assert healed.coverage == 1.0
                 assert [
                     (hit.record, hit.score) for hit in healed.report.hits
