@@ -249,7 +249,7 @@ class ChaosReport:
 
 
 def _judge(report: ChaosReport, promises: dict[str, bool]) -> ChaosReport:
-    """The one invariant checker: fill ``report.violations``, dump the log.
+    """The one invariant checker: fill ``report.violations``.
 
     Every entry is judged the same way — an exception is a lost
     request, a response must match its expected response's signature,
@@ -275,6 +275,17 @@ def _judge(report: ChaosReport, promises: dict[str, bool]) -> ChaosReport:
                     f"{label}: coverage/degraded {got[1:]}, expected {want[1:]}"
                 )
     report.violations.extend(promise for promise, held in promises.items() if not held)
+    return report
+
+
+def _conclude(report: ChaosReport, promises: dict[str, bool]) -> ChaosReport:
+    """A runner's last step: judge the run, then dump its event log.
+
+    The dump lives here, not in :func:`_judge`, so only a real run
+    writes to ``$REPRO_CHAOS_LOG``; judging a hand-built report leaves
+    no file that could pass for a run's evidence.
+    """
+    _judge(report, promises)
     report.log.dump_env()
     return report
 
@@ -662,7 +673,7 @@ def run_chaos(
         fallback_sweeps=engine.fallback_sweeps,
     )
     fallback, retries = engine.fallback_sweeps, pool.retries_total
-    return _judge(report, {
+    return _conclude(report, {
         **_drain_promises(served, requests, inflight, manager.generation, reloads_done),
         f"{fallback} sweeps healed by the in-process fallback": fallback == 0,
         f"{retries} pool retries for {pool_faults} worker faults": retries >= pool_faults,
@@ -729,7 +740,7 @@ def run_reload_storm(
         inflight=inflight,
     )
     issued = threads * requests_per_thread
-    return _judge(
+    return _conclude(
         report,
         _drain_promises(served, issued, inflight, manager.generation, reloads),
     )
@@ -973,7 +984,7 @@ def run_cluster_chaos(seed: int = 0, requests: int = 18, nodes: int = 3) -> Chao
         splits=controller.severed,
         nodes_up=nodes_up,
     )
-    return _judge(report, promises)
+    return _conclude(report, promises)
 
 
 # ----------------------------------------------------------------------
@@ -1102,7 +1113,7 @@ def run_selfheal_chaos(seed: int = 0, nodes: int = 3, mode: str = "thread") -> C
         respawned=respawned,
         limiter_settle=limiter["settle"],
     )
-    return _judge(report, {
+    return _conclude(report, {
         f"recovery took {ticks_to_recover} heartbeats (budget {budget})":
             ticks_to_recover <= budget,
         f"supervisor never respawned node {victim}": victim in respawned,
@@ -1422,7 +1433,7 @@ def run_ingest_chaos(
         )
 
     report.facts.update(crash_points=len(labels), runs=len(report.entries))
-    return _judge(report, {})
+    return _conclude(report, {})
 
 
 def _served(index: DatabaseIndex) -> list[str]:

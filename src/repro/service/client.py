@@ -76,8 +76,11 @@ class _Connection:
             self.close()
             raise
 
-    def send(self, frame: dict) -> None:
-        self.sock.sendall(protocol.encode_frame(frame))
+    def send(self, *frames: dict) -> None:
+        # One write for many frames: split into small writes, a burst
+        # would be held back by Nagle until the server acknowledged the
+        # first frame, which it does with that frame's answer.
+        self.sock.sendall(b"".join(protocol.encode_frame(frame) for frame in frames))
 
     def _read_exact(self, n: int) -> bytes:
         chunks = []
@@ -310,8 +313,8 @@ class SearchClient:
         ids = [self._request_id() for _ in queries]
         conn = self._acquire()
         try:
-            for request_id, query in zip(ids, queries):
-                conn.send(
+            conn.send(
+                *(
                     protocol.search_request(
                         request_id,
                         query,
@@ -320,7 +323,9 @@ class SearchClient:
                         trace_id=trace_id,
                         parent_span=parent_span,
                     )
+                    for request_id, query in zip(ids, queries)
                 )
+            )
             by_id: dict[int, dict] = {}
             for _ in ids:
                 reply = conn.recv()

@@ -503,17 +503,19 @@ class ClusterCoordinator:
         subtrees (with cells-swept and failover/ejection events)
         under the ``node.search`` legs recorded here.
         """
-        resolved = resolve_query_options(options).validate()
-        deadline = (
-            Deadline.after_ms(resolved.deadline_ms)
-            if resolved.deadline_ms is not None
-            else None
-        )
-        if deadline is not None:
-            deadline.check("cluster admission")
         tracer = self.obs.tracer
         t_start = time.monotonic()
         try:
+            # Inside the try: a request refused at admission is still
+            # an SLO observation (ok=False).
+            resolved = resolve_query_options(options).validate()
+            deadline = (
+                Deadline.after_ms(resolved.deadline_ms)
+                if resolved.deadline_ms is not None
+                else None
+            )
+            if deadline is not None:
+                deadline.check("cluster admission")
             with tracer.span(
                 "cluster.search", nodes=len(self.channels), query_bp=len(query)
             ) as root:

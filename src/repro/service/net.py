@@ -30,7 +30,8 @@ machinery with:
   so a stale service-time estimate can never latch into refusing
   every request;
 * **cross-request micro-batching** — search requests arriving within
-  ``batch_window`` seconds are coalesced (grouped by identical
+  ``batch_window`` seconds (less, once every open connection has one
+  in the batch) are coalesced (grouped by identical
   :class:`~repro.service.QueryOptions`) into one
   :meth:`SearchEngine.search_batch` sweep, so concurrent clients share
   a single pass over the index exactly as SWAPHI keeps many queries
@@ -76,7 +77,11 @@ class ServerConfig:
 
     ``batch_window`` is the micro-batching horizon: once a search
     request arrives, the dispatcher waits up to this many seconds for
-    more requests (up to ``batch_max``) before sweeping them together;
+    more requests (up to ``batch_max``) before sweeping them together.
+    The window closes early once every open connection has a request
+    in the batch (requests that have already arrived still join), so
+    lockstep clients never wait out the full window; while any
+    connection has none in the batch, the full window applies.
     ``0.0`` disables coalescing entirely — every request becomes its
     own sweep, which is the configuration the throughput benchmark
     compares against.
@@ -296,6 +301,8 @@ class TcpSearchServer:
         for writer in list(self._writers):
             writer.close()
         self._exec.shutdown(wait=True)
+        if self.engine.pool is not None:
+            self.engine.pool.close()  # reap the last sweep's workers
         self.obs.log.info("net.stopped", served=self.served)
 
     def run_blocking(self, ready=None, reload_signal: int | None = None) -> None:
@@ -669,19 +676,8 @@ class TcpSearchServer:
         assert self._queue is not None and self._loop is not None
         while True:
             batch = [await self._queue.get()]
-            window = self.config.batch_window
-            if window > 0:
-                deadline = self._loop.time() + window
-                while len(batch) < self.config.batch_max:
-                    remaining = deadline - self._loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self._queue.get(), remaining)
-                        )
-                    except (asyncio.TimeoutError, TimeoutError):
-                        break
+            if self.config.batch_window > 0:
+                await self._fill_batch(batch)
             self._m_batches.inc()
             self._m_batched.inc(len(batch))
             # Requests whose budget ran out while queued are answered
@@ -756,6 +752,51 @@ class TcpSearchServer:
                         await self._deliver(items, frames)
                 else:
                     await future
+
+    async def _fill_batch(self, batch: list[_Pending]) -> None:
+        """Add queued requests to ``batch`` until its window closes.
+
+        The window is ``batch_window`` seconds from the first request,
+        but it closes early once every open connection has a request in
+        the batch: a lockstep client sends nothing more until it is
+        answered, so waiting longer only adds latency.  What has already
+        arrived still joins: the loop yields until a yield brings no new
+        request, so a pipelined burst coalesces before the sweep.
+        """
+        assert self._queue is not None and self._loop is not None
+        deadline = self._loop.time() + self.config.batch_window
+        senders = {item.writer for item in batch}
+        while len(batch) < self.config.batch_max:
+            if len(senders) >= self._connections:
+                await self._take_arrived(batch)
+                return
+            remaining = deadline - self._loop.time()
+            if remaining <= 0:
+                return
+            try:
+                item = await asyncio.wait_for(self._queue.get(), remaining)
+            except (asyncio.TimeoutError, TimeoutError):
+                return
+            batch.append(item)
+            senders.add(item.writer)
+
+    async def _take_arrived(self, batch: list[_Pending]) -> None:
+        """Move requests already on their way into ``batch``, then stop.
+
+        Bytes in a socket reach the queue in three loop iterations: the
+        selector schedules the transport's read, the read wakes the
+        connection's reader task, and that task queues the frame.  So
+        each round yields three times, and the batch closes after a
+        round that brings nothing.
+        """
+        assert self._queue is not None
+        while len(batch) < self.config.batch_max:
+            for _ in range(3):
+                await asyncio.sleep(0)
+            if self._queue.empty():
+                return
+            while not self._queue.empty() and len(batch) < self.config.batch_max:
+                batch.append(self._queue.get_nowait())
 
     def _process_group(self, options: QueryOptions, items: list[_Pending]) -> None:
         """Sweep one options-group of a batch (runs on the dispatch thread).

@@ -881,7 +881,14 @@ class SupervisedWorkerPool:
     backoff; one whose attempts exhaust the policy is recorded in the
     outcome's ``failed`` map, and after ``quarantine_after`` such
     exhaustions it is quarantined and excluded from future sweeps
-    until :meth:`heal`.  No worker outlives its sweep.
+    until :meth:`heal`.
+
+    A worker that has sent its group's last result is not joined
+    inside the sweep: its exit (a few ms of process teardown) would sit
+    on the sweep's critical path.  It is reaped behind the sweep, at
+    the start of the next sweep before any fork, in a deadline abort,
+    or in :meth:`close`, which a server's drain calls.  Every other
+    worker is killed or joined before the sweep returns.
 
     ``fault_plan`` scripts deterministic failures for tests and
     benchmarks; ``None`` (the default) injects nothing.
@@ -923,6 +930,8 @@ class SupervisedWorkerPool:
         self.worker_deaths_total = 0
         self.processes_total = 0
         self._healthy = True
+        # Workers that delivered their group's last result, unjoined.
+        self._exiting: list[multiprocessing.process.BaseProcess] = []
         self.bind_obs(obs if obs is not None else NULL_OBS)
 
     def bind_obs(self, obs: Observability) -> None:
@@ -994,6 +1003,7 @@ class SupervisedWorkerPool:
         ``spec`` overrides the pool's kernel spec for this sweep only
         (a request-level ``QueryOptions.kernel`` selection).
         """
+        self.close()  # the last sweep's workers, before any fork
         queries = tuple(queries)
         spec = spec if spec is not None else self.spec
         outcome = SweepOutcome()
@@ -1064,6 +1074,12 @@ class SupervisedWorkerPool:
             )
         return outcome
 
+    def close(self) -> None:
+        """Join the workers earlier sweeps left exiting; the pool stays usable."""
+        exiting, self._exiting = self._exiting, []
+        for process in exiting:
+            process.join()
+
     # ------------------------------------------------------------------
     def _fold_totals(self, outcome: SweepOutcome) -> None:
         """Add one finished (or aborted) sweep's counters to the totals."""
@@ -1110,6 +1126,7 @@ class SupervisedWorkerPool:
                 pass
             self._close(run)
         running.clear()
+        self.close()
 
     def _kill_at(self, deadline: Deadline | None) -> float:
         """When a shard attempt starting now is killed.
@@ -1181,7 +1198,7 @@ class SupervisedWorkerPool:
                     continue
             self._record_failure(shard, attempt, error, pending, outcome, deadline)
         if run.done == len(run.items):
-            run.process.join()
+            self._exiting.append(run.process)  # reaped behind the sweep
             self._close(run)
             run.finished = True
             return True

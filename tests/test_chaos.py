@@ -187,6 +187,17 @@ class TestChecker:
         ]
         assert not report.ok
 
+    def test_judging_writes_no_event_log(self, tmp_path, monkeypatch):
+        # Only a runner dumps to $REPRO_CHAOS_LOG: a judged hand-built
+        # report must not leave a file that passes for a run's evidence.
+        target = tmp_path / "chaos_events.json"
+        monkeypatch.setenv(CHAOS_LOG_ENV, str(target))
+        report = ChaosReport("test", 0, ChaosEventLog())
+        report.entries.append(("lost", ConnectionError("gone"), None))
+        chaos._judge(report, {"broken": False})
+        assert len(report.violations) == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeadlinePropagation:
     """An expired budget raises the same class at every layer."""

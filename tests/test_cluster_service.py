@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.io.generate import mutate, random_dna
+from repro.obs import SloTracker
 from repro.service import DatabaseIndex, QueryOptions, SearchClient, SearchEngine
 from repro.service.cache import ResultCache
 from repro.service.chaos import response_signature, run_cluster_chaos
@@ -324,6 +325,17 @@ class TestCoordinatorEndToEnd:
             with cluster.client() as client:
                 with pytest.raises(ValueError, match="top"):
                     client.search("ACGT", QueryOptions(top=0))
+
+    def test_refused_at_admission_is_an_slo_observation(self, shared_index):
+        slo = SloTracker()
+        with LocalCluster(shared_index, nodes=2, batch_window=0.0) as cluster:
+            with cluster.client(slo=slo) as client:
+                with pytest.raises(DeadlineExceeded):
+                    client.search("ACGT", QueryOptions(deadline_ms=0))
+                client.search(random_dna(30, seed=65), self.OPTIONS)
+        assert [status.fast_total for status in slo.evaluate()] == [2] * len(
+            slo.objectives
+        )
 
     def test_from_addresses_probes_spans(self, shared_index):
         single = SearchEngine(shared_index, cache=ResultCache(0))

@@ -177,6 +177,74 @@ class TestPipelining:
         assert counters["repro_net_batches_total"] < len(queries)
 
 
+class TestBatchWindow:
+    """The window closes once every open connection has a request in."""
+
+    WINDOW = 0.5
+
+    def _pair(self, planted, idle_connections):
+        """Two lockstep connections search at once; returns (seconds, batches)."""
+        query, _, index = planted
+        obs = Observability.create()
+        engine = make_engine(index, obs=obs)
+        config = ServerConfig(batch_window=self.WINDOW)
+        queries = [query, random_dna(40, seed=6)]
+        with ServerThread(engine, config=config) as handle:
+            clients = [
+                SearchClient(handle.host, handle.port)
+                for _ in range(2 + idle_connections)
+            ]
+            for client in clients:
+                client.ping()  # every connection is open before the searches
+            start = threading.Barrier(2)
+            results = [None, None]
+
+            def search(k):
+                start.wait()
+                results[k] = clients[k].search(queries[k], QueryOptions(top=3))
+
+            threads = [threading.Thread(target=search, args=(k,)) for k in (0, 1)]
+            began = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            seconds = time.monotonic() - began
+            for client in clients:
+                client.close()
+        inline = [engine.search(q, QueryOptions(top=3)) for q in queries]
+        assert [ranking(r.report.hits) for r in results] == [
+            ranking(r.report.hits) for r in inline
+        ]
+        counters = obs.registry.snapshot()["counters"]
+        return seconds, counters["repro_net_batches_total"]
+
+    def test_closes_once_every_connection_is_in(self, planted):
+        seconds, batches = self._pair(planted, idle_connections=0)
+        assert batches == 1
+        assert seconds < self.WINDOW / 2
+
+    def test_an_idle_connection_keeps_the_full_window(self, planted):
+        seconds, batches = self._pair(planted, idle_connections=1)
+        assert batches == 1
+        assert seconds >= self.WINDOW * 0.9
+
+    def test_pipelined_burst_still_sweeps_as_one_batch(self, planted):
+        query, _, index = planted
+        obs = Observability.create()
+        engine = make_engine(index, obs=obs)
+        queries = [query, query[:30], query[:40], random_dna(30, seed=5)]
+        with ServerThread(engine, config=ServerConfig(batch_window=self.WINDOW)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                began = time.monotonic()
+                remote = client.search_pipelined(queries)
+                seconds = time.monotonic() - began
+        assert len(remote) == len(queries)
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["repro_net_batches_total"] == 1
+        assert seconds < self.WINDOW / 2
+
+
 class TestBackpressure:
     def test_overload_rejected_with_structured_error(self, planted):
         query, _, index = planted

@@ -378,6 +378,33 @@ class TestGroupedPool:
         assert outcome.attempts == index.shard_count == 4
         assert len({s.worker for s in outcome.sweeps}) == 2
 
+    def test_exiting_workers_are_reaped_behind_the_sweep(self, planted, monkeypatch):
+        import multiprocessing
+
+        from repro.align.scoring import DEFAULT_DNA
+        from repro.service import merge_candidates, resilience
+
+        query, records, index, base = planted
+        entry = resilience._supervised_entry
+
+        def slow_exit(*args):
+            entry(*args)
+            time.sleep(2.0)  # every result is sent; only the exit is slow
+
+        monkeypatch.setattr(resilience, "_supervised_entry", slow_exit)
+        pool = SupervisedWorkerPool(workers=2, policy=FAST)
+        began = time.monotonic()
+        outcome = pool.sweep(index, [query], DEFAULT_DNA, 1, 10)
+        assert time.monotonic() - began < 1.0
+        names = [r.identifier for r in records]
+        expected = [
+            (h.hit.score, names.index(h.record), h.hit.i, h.hit.j) for h in base.hits
+        ]
+        assert outcome.complete
+        assert merge_candidates(outcome.sweeps, 1, 10) == [expected]
+        pool.close()
+        assert multiprocessing.active_children() == []
+
     def test_crash_on_first_shard_spares_its_group_mate(self, planted):
         from repro.align.scoring import DEFAULT_DNA
 
