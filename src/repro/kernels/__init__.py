@@ -15,14 +15,10 @@ repo-wide tie-break convention (smallest ``i``, then smallest ``j``,
 among equal best scores) — the property tests in
 ``tests/test_kernels.py`` enforce it across the whole registry.  That
 contract is what makes the fast path safe to substitute anywhere the
-reference path runs: rankings cannot change, only wall-clock does.
+oracle row sweep runs: rankings cannot change, only wall-clock does.
 
 Built-in backends
 -----------------
-``reference``
-    The vectorized single-pair row sweep
-    (:func:`~repro.align.smith_waterman.sw_locate_best`) looped over
-    every pair; the comparison point KB1 measures the default against.
 ``pure``
     The pure-Python oracle (:func:`~repro.baselines.software.locate_pure`)
     — slow, dependency-free, shares no code with the kernels it checks.
@@ -32,7 +28,8 @@ Built-in backends
     matrix pass per DP row, amortizing interpreter and dispatch
     overhead across the whole batch (SWAPHI's inter-/intra-sequence
     parallelization mapped onto array axes).  The default: shard
-    sweeps are batches.  Its single-pair ``locate`` is the row sweep,
+    sweeps are batches.  Its single-pair ``locate`` is the vectorized
+    row sweep (:func:`~repro.align.smith_waterman.sw_locate_best`),
     which is faster on one pair.
 ``hw-sim``
     The simulated FPGA accelerator
@@ -72,7 +69,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..align.scoring import DEFAULT_DNA, LinearScoring, SubstitutionMatrix, decode
-from ..align.smith_waterman import LocalHit, sw_locate_best
+from ..align.smith_waterman import LocalHit
 
 __all__ = [
     "DEFAULT_KERNEL",
@@ -91,7 +88,7 @@ DEFAULT_KERNEL = "numpy-striped"
 
 #: Environment variable naming the process-wide default backend (CI
 #: runs the whole tier-1 suite a second time under
-#: ``REPRO_KERNEL=reference``).
+#: ``REPRO_KERNEL=pure``).
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
 
@@ -137,15 +134,6 @@ class KernelBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class _ReferenceBackend(KernelBackend):
-    """The vectorized single-pair row sweep (``sw_locate_best``)."""
-
-    name = "reference"
-
-    def locate(self, s, t, scheme=DEFAULT_DNA) -> LocalHit:
-        return sw_locate_best(s, t, scheme)
 
 
 class _PureBackend(KernelBackend):
@@ -269,7 +257,6 @@ def get_backend(name: str | None = None) -> KernelBackend:
 
 from .striped import StripedKernel  # noqa: E402  (needs KernelBackend above)
 
-register_backend("reference", _ReferenceBackend)
 register_backend("pure", _PureBackend)
 register_backend("numpy-striped", StripedKernel)
 register_backend("hw-sim", HwSimBackend)

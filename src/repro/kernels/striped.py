@@ -1,9 +1,10 @@
 """The ``numpy-striped`` backend: many pairs per matrix instruction.
 
-The reference kernel sweeps one (query, record) pair at a time: per DP
-row it issues a handful of NumPy calls over one length-``n`` vector.
-For the short records a sharded database mostly holds, that makes the
-sweep *dispatch-bound* — interpreter and ufunc-launch overhead, not
+The row sweep (:func:`~repro.align.smith_waterman.sw_locate_best`)
+handles one (query, record) pair at a time: per DP row it issues a
+handful of NumPy calls over one length-``n`` vector.  For the short
+records a sharded database mostly holds, that makes the sweep
+*dispatch-bound* — interpreter and ufunc-launch overhead, not
 arithmetic, dominates.  This kernel restores the arithmetic bound by
 advancing **every query against every record in the batch through the
 same DP row simultaneously**: state is a ``(Q, R, n+1)`` array (Q
@@ -18,7 +19,7 @@ Two precomputations make the row cheap:
   query ``qi``'s row-``i`` character against target byte ``b`` — so
   the per-row pair scores for the whole batch are one fancy-indexed
   gather ``prof[:, i, T]`` instead of Q×R ``pair_vector`` calls;
-* the same max-plus prefix scan the reference kernel uses, applied
+* the same max-plus prefix scan the row sweep uses, applied
   along the last axis: ``cummax(H - j·g) + j·g`` resolves the
   within-row dependency for every lane in one ``maximum.accumulate``.
 
@@ -37,12 +38,12 @@ updates are strict).  The sentinel column is left out of the
 state-dtype bound, so it costs no width.  Likewise queries shorter
 than the batch's longest query are simply masked out of the best-cell
 update once past their last row.  The result is **bit-identical** to
-the reference kernel — same ``(score, i, j)``, same
+the row sweep — same ``(score, i, j)``, same
 smallest-``i``-then-smallest-``j`` tie-breaks — which the
 cross-backend property tests pin down.
 
 The single-pair entry point :meth:`StripedKernel.locate` is the
-reference row sweep itself, and so is a one-pair ``locate_batch``: a
+row sweep itself, and so is a one-pair ``locate_batch``: a
 one-record batch has nothing to amortize, and the row sweep is faster
 on it.
 """

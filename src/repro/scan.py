@@ -66,11 +66,6 @@ class ScanReport:
     total_seconds: float = 0.0
 
     @property
-    def seconds(self) -> float:
-        """Backwards-compatible alias for :attr:`total_seconds`."""
-        return self.total_seconds
-
-    @property
     def cups(self) -> float:
         """Sweep throughput — cells over the phase-1 sweep time only."""
         return self.cells / self.sweep_seconds if self.sweep_seconds > 0 else 0.0
@@ -140,10 +135,10 @@ def scan_database(
         bare sequence strings.
     kernel:
         The phase-1 kernel backend: a :mod:`repro.kernels` registry
-        name (``"reference"``, ``"numpy-striped"``, ``"hw-sim"``, ...)
+        name (``"numpy-striped"``, ``"pure"``, ``"hw-sim"``, ...)
         or a :class:`~repro.kernels.KernelBackend` instance.  The query
         sweeps every record in one ``locate_batch`` call, so a batched
-        backend runs batched.  ``None`` runs the reference row sweep
+        backend runs batched.  ``None`` runs the oracle row sweep
         (:func:`~repro.align.smith_waterman.sw_locate_best`) record by
         record whatever ``REPRO_KERNEL`` says: that path shares no code
         with the batched kernels, which makes it the oracle the service

@@ -99,7 +99,7 @@ class QueryOptions:
     discovered.
 
     ``kernel`` names the :mod:`repro.kernels` backend this request's
-    sweep must run on (``"reference"``, ``"numpy-striped"``, ...).
+    sweep must run on (``"numpy-striped"``, ``"pure"``, ``"hw-sim"``).
     ``None`` — the default, and what an absent wire field decodes to —
     means "whatever the server is configured with" (its ``--kernel``
     flag, falling back to the process default).  Every backend is

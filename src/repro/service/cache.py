@@ -72,8 +72,8 @@ class CacheKey:
     index_version: str
     min_score: int
     top: int
+    kernel: str
     generation: int = 0
-    kernel: str = "reference"
 
 
 @dataclass(frozen=True)

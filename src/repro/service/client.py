@@ -60,18 +60,13 @@ def _split_address(host: str, port: int | None) -> tuple[str, int]:
 
 
 class _Connection:
-    """One blocking socket that has completed the hello handshake.
-
-    ``version`` is the protocol version the hello negotiated; frames
-    sent on this connection are encoded for it (a v1 server never sees
-    the v2-only ``deadline_ms`` key or verbs).
-    """
+    """One blocking socket that has completed the hello handshake."""
 
     def __init__(self, host: str, port: int, timeout: float | None) -> None:
         self.sock = socket.create_connection((host, port), timeout=timeout)
         try:
             self.send(protocol.hello_frame())
-            self.version = protocol.check_hello_reply(self.recv())
+            protocol.check_hello_reply(self.recv())
         except BaseException:
             self.close()
             raise
@@ -137,7 +132,7 @@ class SearchClient:
         Hook replacing ``_Connection`` — how the chaos harness splices
         fault-injecting sockets under a real client.  Must accept
         ``(host, port, timeout)`` and expose ``send``/``recv``/
-        ``close`` plus a ``version`` attribute.
+        ``close``.
     """
 
     def __init__(
@@ -201,12 +196,8 @@ class SearchClient:
             return self._next_id
 
     # -- request plumbing -----------------------------------------------
-    def _roundtrip(self, build: Callable[[int], dict], token: str) -> dict:
+    def _roundtrip(self, frame: dict, token: str) -> dict:
         """Send one frame, read its reply; retry transport failures.
-
-        ``build`` maps the connection's negotiated protocol version to
-        the frame to send — the frame cannot be built earlier because
-        a v1 server must never see v2-only keys.
 
         A broken connection is discarded and a fresh one dialed on the
         next attempt; ``overloaded`` answers back off via the retry
@@ -222,7 +213,7 @@ class SearchClient:
             conn: _Connection | None = None
             try:
                 conn = self._acquire()
-                conn.send(build(conn.version))
+                conn.send(frame)
                 reply = conn.recv()
             except _TRANSPORT_ERRORS as exc:
                 if conn is not None:
@@ -272,11 +263,10 @@ class SearchClient:
                 parent_span = parent_span or current.name
         request_id = self._request_id()
         reply = self._roundtrip(
-            lambda version: protocol.search_request(
+            protocol.search_request(
                 request_id,
                 query,
                 resolved,
-                version,
                 trace_id=trace_id,
                 parent_span=parent_span,
             ),
@@ -319,7 +309,6 @@ class SearchClient:
                         request_id,
                         query,
                         resolved,
-                        conn.version,
                         trace_id=trace_id,
                         parent_span=parent_span,
                     )
@@ -355,7 +344,7 @@ class SearchClient:
     def _admin(self, verb: str, arg: str | None = None) -> dict:
         request_id = self._request_id()
         reply = self._roundtrip(
-            lambda version: protocol.admin_request(request_id, verb, arg, version),
+            protocol.admin_request(request_id, verb, arg),
             token=f"{verb}-{request_id}",
         )
         if reply.get("type") != "result" or reply.get("id") != request_id:
@@ -399,7 +388,7 @@ class SearchClient:
         return bool(self._admin("ping").get("pong"))
 
     def health(self) -> Mapping[str, object]:
-        """The server's liveness/readiness snapshot (protocol v2+)."""
+        """The server's liveness/readiness snapshot."""
         return self._admin("health")["health"]
 
     def reload(self) -> int:
@@ -416,13 +405,11 @@ class SearchClient:
         a retried record may land twice in the database, never zero
         times once acked.  A full or failing server disk raises
         :class:`~repro.service.resilience.ServiceError` with code
-        ``read-only`` (protocol v2+ only).
+        ``read-only``.
         """
         request_id = self._request_id()
         reply = self._roundtrip(
-            lambda version: protocol.ingest_request(
-                request_id, name, sequence, version
-            ),
+            protocol.ingest_request(request_id, name, sequence),
             token=f"ingest-{request_id}",
         )
         if reply.get("type") != "result" or reply.get("id") != request_id:
@@ -460,11 +447,9 @@ class AsyncSearchClient:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         defaults: QueryOptions | None = None,
-        version: int = protocol.PROTOCOL_VERSION,
     ) -> None:
         self._reader = reader
         self._writer = writer
-        self.version = version
         self.defaults = defaults if defaults is not None else QueryOptions()
         self._pending: dict[int, asyncio.Future] = {}
         self._next_id = 0
@@ -484,8 +469,8 @@ class AsyncSearchClient:
         await writer.drain()
         header = await reader.readexactly(protocol.HEADER.size)
         body = await reader.readexactly(protocol.frame_length(header))
-        version = protocol.check_hello_reply(protocol.decode_frame(body))
-        return cls(reader, writer, defaults=defaults, version=version)
+        protocol.check_hello_reply(protocol.decode_frame(body))
+        return cls(reader, writer, defaults=defaults)
 
     async def _read_loop(self) -> None:
         try:
@@ -532,7 +517,7 @@ class AsyncSearchClient:
         self._next_id += 1
         request_id = self._next_id
         reply = await self._roundtrip(
-            protocol.search_request(request_id, query, resolved, self.version),
+            protocol.search_request(request_id, query, resolved),
             request_id,
         )
         return protocol.parse_response(reply)
@@ -541,7 +526,7 @@ class AsyncSearchClient:
         self._next_id += 1
         request_id = self._next_id
         reply = await self._roundtrip(
-            protocol.admin_request(request_id, verb, arg, self.version), request_id
+            protocol.admin_request(request_id, verb, arg), request_id
         )
         payload = reply.get("payload")
         if not isinstance(payload, dict):

@@ -53,9 +53,6 @@ from .resilience import Deadline, SupervisedWorkerPool
 
 __all__ = ["RequestMetrics", "SearchResponse", "SearchEngine"]
 
-#: The degradation path's kernel (see ``SearchEngine._sweep_inline``).
-_REFERENCE = WorkerSpec("reference")
-
 
 @dataclass(frozen=True)
 class _CachedSweep:
@@ -184,8 +181,8 @@ class SearchEngine:
         ``workers``/``spec`` (or none at all for a single worker).
     fallback_scan:
         When True (the default) the engine degrades gracefully: shards
-        the pool could not sweep are re-swept in-process (the
-        trusted ``scan_database`` path), and once the pool is marked
+        the pool could not sweep are re-swept in-process with the
+        same kernel, and once the pool is marked
         unhealthy the whole sweep runs in-process — the service keeps
         serving instead of raising.  Set False to surface partial
         coverage in the response instead of healing it.
@@ -357,13 +354,12 @@ class SearchEngine:
         """Sweep ``shards`` in-process with ``spec``'s kernel.
 
         No subprocesses, no fault injection.  A single-worker engine
-        with no pool sweeps every request here with the request's
-        kernel.  The graceful-degradation path passes the ``reference``
-        spec — the same row sweep ``scan_database`` runs, the most
-        trustworthy way to finish a sweep the pool could not; every
-        backend is bit-identical, so that changes nothing a caller can
-        observe.  The deadline (when set) is enforced at shard
-        granularity.
+        with no pool sweeps every request here, and the
+        graceful-degradation path re-sweeps here what the pool could
+        not finish; both pass the spec the sweep was asked to run
+        with.  Fault plans fire only inside pool workers, so this path
+        is clean whatever the kernel.  The deadline (when set) is
+        enforced at shard granularity.
         """
         sweeps = []
         for shard in shards:
@@ -385,7 +381,8 @@ class SearchEngine:
         not heal) and ``processes`` counts the worker processes the
         pool forked (0 in-process).  ``spec``, when
         set, overrides the engine's kernel spec for this sweep only (a
-        request-level ``QueryOptions.kernel`` selection).
+        request-level ``QueryOptions.kernel`` selection); the
+        in-process paths, fallback included, sweep with the same spec.
 
         :class:`~repro.service.resilience.DeadlineExceeded` raised by
         the pool propagates untouched — the fallback path re-sweeps
@@ -393,16 +390,11 @@ class SearchEngine:
         just ran out.
         """
         load_degraded = set(index.degraded)
+        spec = spec if spec is not None else self.spec
         if self.pool is None:
-            # One worker and no pool: sweep in-process on the request's
-            # kernel.
+            # One worker and no pool: sweep in-process.
             sweeps = self._sweep_inline(
-                index.active_shards,
-                queries,
-                min_score,
-                k,
-                deadline,
-                spec if spec is not None else self.spec,
+                index.active_shards, queries, min_score, k, deadline, spec
             )
             return sweeps, tuple(sorted(load_degraded)), 0
         if not self.pool.healthy and self.fallback_scan:
@@ -415,7 +407,7 @@ class SearchEngine:
                 "engine.fallback", reason="pool-unhealthy", queries=len(queries)
             )
             sweeps = self._sweep_inline(
-                index.active_shards, queries, min_score, k, deadline, _REFERENCE
+                index.active_shards, queries, min_score, k, deadline, spec
             )
             return sweeps, tuple(sorted(load_degraded)), 0
         result = self.pool.sweep(
@@ -439,7 +431,7 @@ class SearchEngine:
                 "engine.fallback", reason="failed-shards", shards=shard_ids
             )
             sweeps.extend(
-                self._sweep_inline(healed, queries, min_score, k, deadline, _REFERENCE)
+                self._sweep_inline(healed, queries, min_score, k, deadline, spec)
             )
             failed.clear()
         return sweeps, tuple(sorted(load_degraded | set(failed))), result.processes

@@ -190,7 +190,6 @@ class TcpSearchServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue[_Pending] | None = None
         self._writers: set[asyncio.StreamWriter] = set()
-        self._conn_versions: dict[asyncio.StreamWriter, int] = {}
         self._drained: asyncio.Event | None = None
         self._exec = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-net-dispatch"
@@ -392,11 +391,7 @@ class TcpSearchServer:
                     rid = request_id if isinstance(request_id, int) else None
                     await self._send(
                         writer,
-                        protocol.error_frame(
-                            rid,
-                            *protocol.classify_exception(exc),
-                            version=self._version_for(writer),
-                        ),
+                        protocol.error_frame(rid, *protocol.classify_exception(exc)),
                     )
                     self._m_errors.inc()
         except protocol.ProtocolError as exc:
@@ -414,7 +409,6 @@ class TcpSearchServer:
             pass
         finally:
             self._writers.discard(writer)
-            self._conn_versions.pop(writer, None)
             self._connections -= 1
             self._g_connections.set(self._connections)
             writer.close()
@@ -457,37 +451,23 @@ class TcpSearchServer:
         await writer.drain()
         self._m_frames_out.inc()
 
-    def _version_for(self, writer: asyncio.StreamWriter) -> int:
-        """The protocol version negotiated (or implied) on this connection."""
-        return self._conn_versions.get(writer, protocol.PROTOCOL_VERSION)
-
     async def _handle_frame(self, frame: dict, writer: asyncio.StreamWriter) -> None:
         ftype = frame.get("type")
         if ftype == "hello":
-            version = protocol.negotiate(frame)
-            self._conn_versions[writer] = version
-            await self._send(writer, protocol.hello_reply(version))
+            protocol.negotiate(frame)
+            await self._send(writer, protocol.hello_reply())
             return
         request = protocol.parse_request(frame)
-        if writer not in self._conn_versions and frame.get("v") in (
-            protocol.SUPPORTED_VERSIONS
-        ):
-            # A hello-less client implicitly claims the version in "v";
-            # reply frames honour it for the rest of the connection.
-            self._conn_versions[writer] = frame["v"]
-        version = self._version_for(writer)
         if request.verb == "ping":
             await self._send(
                 writer,
-                protocol.result_frame(request.request_id, {"pong": True}, version),
+                protocol.result_frame(request.request_id, {"pong": True}),
             )
             return
         if request.verb == "health":
             await self._send(
                 writer,
-                protocol.result_frame(
-                    request.request_id, self._health_payload(), version
-                ),
+                protocol.result_frame(request.request_id, self._health_payload()),
             )
             return
         if request.verb == "reload":
@@ -500,9 +480,7 @@ class TcpSearchServer:
             )
             await self._send(
                 writer,
-                protocol.result_frame(
-                    request.request_id, {"generation": generation}, version
-                ),
+                protocol.result_frame(request.request_id, {"generation": generation}),
             )
             return
         if request.verb == "ingest":
@@ -524,13 +502,13 @@ class TcpSearchServer:
             )
             await self._send(
                 writer,
-                protocol.result_frame(request.request_id, {"ingest": ack}, version),
+                protocol.result_frame(request.request_id, {"ingest": ack}),
             )
             return
         if request.verb in ("stats", "metrics", "trace"):
             payload = self._admin_payload(request.verb, request.arg)
             await self._send(
-                writer, protocol.result_frame(request.request_id, payload, version)
+                writer, protocol.result_frame(request.request_id, payload)
             )
             return
         # verb == "search"
@@ -713,10 +691,7 @@ class TcpSearchServer:
                         [item],
                         [
                             protocol.error_frame(
-                                item.request_id,
-                                DeadlineExceeded.code,
-                                doomed,
-                                version=self._version_for(item.writer),
+                                item.request_id, DeadlineExceeded.code, doomed
                             )
                         ],
                     )
@@ -839,20 +814,13 @@ class TcpSearchServer:
                 # latches into rejecting everything under overload.
                 self.service_times.observe(time.monotonic() - t_sweep)
                 frames = [
-                    protocol.response_frame(
-                        item.request_id, response, self._version_for(item.writer)
-                    )
+                    protocol.response_frame(item.request_id, response)
                     for item, response in zip(items, responses)
                 ]
             except Exception as exc:  # noqa: BLE001 - answer, never die
                 code, message = protocol.classify_exception(exc)
                 frames = [
-                    protocol.error_frame(
-                        item.request_id,
-                        code,
-                        message,
-                        version=self._version_for(item.writer),
-                    )
+                    protocol.error_frame(item.request_id, code, message)
                     for item in items
                 ]
                 self.obs.log.warning("net.batch-failed", code=code, error=message)

@@ -23,30 +23,31 @@ many frames can be pipelined back-to-back on one connection.
 Every frame object carries ``"v"`` (the protocol version) and
 ``"type"``.  Client → server types::
 
-    {"v": 1, "type": "hello", "versions": [1]}
-    {"v": 1, "type": "request", "id": 7, "verb": "search",
+    {"v": 2, "type": "hello", "versions": [2]}
+    {"v": 2, "type": "request", "id": 7, "verb": "search",
      "query": "ACGT...", "options": {"top": 10, "min_score": 1, "retrieve": 0}}
-    {"v": 1, "type": "request", "id": 8, "verb": "stats"}      # also:
-    {"v": 1, "type": "request", "id": 9, "verb": "metrics"}    # Prometheus text
-    {"v": 1, "type": "request", "id": 10, "verb": "trace", "arg": "t000002"}
-    {"v": 1, "type": "request", "id": 11, "verb": "ping"}
-    {"v": 2, "type": "request", "id": 12, "verb": "health"}    # v2 only
-    {"v": 2, "type": "request", "id": 13, "verb": "reload"}    # v2 only
+    {"v": 2, "type": "request", "id": 8, "verb": "stats"}      # also:
+    {"v": 2, "type": "request", "id": 9, "verb": "metrics"}    # Prometheus text
+    {"v": 2, "type": "request", "id": 10, "verb": "trace", "arg": "t000002"}
+    {"v": 2, "type": "request", "id": 11, "verb": "ping"}
+    {"v": 2, "type": "request", "id": 12, "verb": "health"}
+    {"v": 2, "type": "request", "id": 13, "verb": "reload"}
+    {"v": 2, "type": "request", "id": 14, "verb": "ingest",
+     "record": {"name": "r1", "sequence": "ACGT..."}}
 
-Protocol v2 additionally accepts ``"deadline_ms"`` inside a search
-request's ``options`` — the request's remaining end-to-end budget in
-milliseconds, re-anchored by the server at receipt — and ``"kernel"``,
-the :mod:`repro.kernels` backend name the sweep must run on (absent
-means "the server's configured default"; an unknown name is a
-``bad-request``).
+A search request's ``options`` may also carry ``"deadline_ms"`` — the
+request's remaining end-to-end budget in milliseconds, re-anchored by
+the server at receipt — and ``"kernel"``, the :mod:`repro.kernels`
+backend name the sweep must run on (absent means "the server's
+configured default"; an unknown name is a ``bad-request``).
 
 Server → client types::
 
-    {"v": 1, "type": "hello", "version": 1, "server": "repro"}
-    {"v": 1, "type": "response", "id": 7, "query": ..., "hits": [...],
+    {"v": 2, "type": "hello", "version": 2, "server": "repro"}
+    {"v": 2, "type": "response", "id": 7, "query": ..., "hits": [...],
      "coverage": 1.0, "degraded_shards": [], ...}
-    {"v": 1, "type": "result", "id": 8, "payload": {...}}      # admin verbs
-    {"v": 1, "type": "error", "id": 7, "code": "bad-request",
+    {"v": 2, "type": "result", "id": 8, "payload": {...}}      # admin verbs
+    {"v": 2, "type": "error", "id": 7, "code": "bad-request",
      "message": "top must be positive, got 0"}
 
 Error frames reuse the :class:`~repro.service.resilience.ServiceError`
@@ -58,14 +59,16 @@ prints after ``error``.
 Version negotiation
 -------------------
 The client's first frame is a ``hello`` listing every protocol version
-it speaks; the server answers with a ``hello`` naming the highest
-version both sides share (or an ``error`` frame with code
-``protocol`` when there is none) and that version governs the rest of
-the connection.  Every subsequent frame still carries ``"v"`` and a
-mismatch is a :class:`ProtocolError` — cheap insurance against a peer
-that skipped negotiation.  A server additionally tolerates a client
-that opens with a plain ``request`` frame (implicitly claiming the
-version in ``"v"``), so one-shot scripted clients need not handshake.
+it speaks; the server answers with a ``hello`` naming
+:data:`PROTOCOL_VERSION` when the client offered it (or an ``error``
+frame with code ``protocol`` when it did not).  Every subsequent frame
+still carries ``"v"`` and any other value is a :class:`ProtocolError` —
+cheap insurance against a peer that skipped negotiation.  Versions are
+compared type-strictly: JSON ``true`` and ``2.0`` are not version 2.
+A server additionally answers a client that opens with a plain
+``request`` frame, so one-shot scripted clients need not handshake.
+The handshake and ``"v"`` stay so that a later version can still
+negotiate.
 """
 
 from __future__ import annotations
@@ -88,7 +91,6 @@ from .resilience import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "MAX_FRAME_BYTES",
     "HEADER",
     "ProtocolError",
@@ -118,23 +120,22 @@ __all__ = [
     "format_error_line",
 ]
 
-#: Current protocol version and every version this build can serve.
+#: The protocol version this build speaks.
 #:
 #: Version history:
 #:
 #: * **1** — initial frame protocol: ``search`` / ``stats`` /
 #:   ``metrics`` / ``trace`` / ``ping``, options ``top`` /
-#:   ``min_score`` / ``retrieve``.
+#:   ``min_score`` / ``retrieve``.  Removed: no peer spoke it, and a
+#:   v1 hello or frame is now a ``protocol`` error.
 #: * **2** — robustness surface: ``deadline_ms`` request option
 #:   (end-to-end budget, re-anchored server-side at receipt), the
-#:   ``health`` / ``reload`` admin verbs, and the string-valued
-#:   ``kernel`` request option naming the :mod:`repro.kernels` backend
-#:   the sweep must run on.  The ``ingest`` verb (streaming one FASTA
-#:   record into the server's write-ahead journal) is also v2-only.
-#:   A v2 peer talking to a v1 peer silently drops the v2-only options
-#:   and loses the v2 verbs — negotiation, not failure.
+#:   ``health`` / ``reload`` admin verbs, the string-valued ``kernel``
+#:   request option naming the :mod:`repro.kernels` backend the sweep
+#:   must run on, the ``ingest`` verb (streaming one FASTA record into
+#:   the server's write-ahead journal) and the optional ``trace_id`` /
+#:   ``parent_span`` keys of a search request.
 PROTOCOL_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Hard bound on one frame's JSON body; larger announcements are
 #: protocol violations (the paper's responses are "a few bytes" per
@@ -144,15 +145,11 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: The length prefix: one big-endian unsigned 32-bit integer.
 HEADER = struct.Struct(">I")
 
-#: Request verbs the server understands, and the subset that requires
-#: a v2 connection (a v1 frame naming one is a protocol error, which
-#: is how an old server's behaviour is preserved exactly).
+#: Request verbs the server understands.
 VERBS = ("search", "stats", "metrics", "trace", "ping", "health", "reload", "ingest")
-V2_VERBS = frozenset({"health", "reload", "ingest"})
 
-#: Option keys accepted on the wire per protocol version.
-WIRE_OPTION_KEYS_V1 = ("top", "min_score", "retrieve")
-WIRE_OPTION_KEYS = WIRE_OPTION_KEYS_V1 + ("deadline_ms", "kernel")
+#: Option keys accepted on the wire.
+WIRE_OPTION_KEYS = ("top", "min_score", "retrieve", "deadline_ms", "kernel")
 
 #: The option keys whose wire value is a string, not an integer
 #: (``kernel`` names a registry backend).
@@ -221,40 +218,50 @@ def decode_frame_bytes(data: bytes, max_frame: int = MAX_FRAME_BYTES) -> dict:
     return decode_frame(bytes(body))
 
 
+def _is_current(version: object) -> bool:
+    """Type-strict version check: ``True == 1`` and ``2.0 == 2`` in
+    Python, but neither is a protocol version on the wire."""
+    return type(version) is int and version == PROTOCOL_VERSION
+
+
 def _check_version(frame: dict) -> None:
     version = frame.get("v")
-    if version not in SUPPORTED_VERSIONS:
+    if not _is_current(version):
         raise ProtocolError(
-            f"unsupported protocol version {version!r} (supported: "
-            f"{', '.join(map(str, SUPPORTED_VERSIONS))})"
+            f"unsupported protocol version {version!r} "
+            f"(supported: {PROTOCOL_VERSION})"
         )
 
 
 # ----------------------------------------------------------------------
 # Hello / version negotiation
 # ----------------------------------------------------------------------
-def hello_frame(versions: tuple[int, ...] = SUPPORTED_VERSIONS) -> dict:
+def hello_frame() -> dict:
     """The client's opening frame: every version it speaks."""
-    return {"v": max(versions), "type": "hello", "versions": list(versions)}
+    return {"v": PROTOCOL_VERSION, "type": "hello", "versions": [PROTOCOL_VERSION]}
 
 
-def hello_reply(version: int = PROTOCOL_VERSION) -> dict:
+def hello_reply() -> dict:
     """The server's answer: the negotiated version."""
-    return {"v": version, "type": "hello", "version": version, "server": "repro"}
+    return {
+        "v": PROTOCOL_VERSION,
+        "type": "hello",
+        "version": PROTOCOL_VERSION,
+        "server": "repro",
+    }
 
 
 def negotiate(frame: dict) -> int:
-    """Server side: pick the highest mutually supported version."""
+    """Server side: accept a hello that offers :data:`PROTOCOL_VERSION`."""
     offered = frame.get("versions")
-    if not isinstance(offered, list) or not all(isinstance(v, int) for v in offered):
+    if not isinstance(offered, list) or not all(type(v) is int for v in offered):
         raise ProtocolError("hello frame must list integer versions")
-    shared = set(offered) & set(SUPPORTED_VERSIONS)
-    if not shared:
+    if PROTOCOL_VERSION not in offered:
         raise ProtocolError(
             f"no shared protocol version (client: {offered}, "
-            f"server: {list(SUPPORTED_VERSIONS)})"
+            f"server: [{PROTOCOL_VERSION}])"
         )
-    return max(shared)
+    return PROTOCOL_VERSION
 
 
 def check_hello_reply(frame: dict) -> int:
@@ -264,7 +271,7 @@ def check_hello_reply(frame: dict) -> int:
     if frame.get("type") != "hello":
         raise ProtocolError(f"expected hello reply, got {frame.get('type')!r}")
     version = frame.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if not _is_current(version):
         raise ProtocolError(f"server negotiated unsupported version {version!r}")
     return version
 
@@ -272,25 +279,22 @@ def check_hello_reply(frame: dict) -> int:
 # ----------------------------------------------------------------------
 # Requests
 # ----------------------------------------------------------------------
-def options_to_wire(options, version: int = PROTOCOL_VERSION) -> dict:
+def options_to_wire(options) -> dict:
     """The wire mapping for a :class:`~repro.service.QueryOptions`.
 
     ``statistics`` never crosses the wire — E-values are the server
-    engine's concern.  ``deadline_ms`` and ``kernel`` are v2-only and
-    omitted when encoding for a v1 peer (an old server would reject
-    the unknown keys; a client that negotiated down simply loses the
-    deadline and the kernel selection).
+    engine's concern.  ``deadline_ms`` and ``kernel`` are sent only
+    when set, so an absent key means "the server's default".
     """
     wire = {
         "top": options.top,
         "min_score": options.min_score,
         "retrieve": options.retrieve,
     }
-    if version >= 2:
-        if getattr(options, "deadline_ms", None) is not None:
-            wire["deadline_ms"] = options.deadline_ms
-        if getattr(options, "kernel", None) is not None:
-            wire["kernel"] = options.kernel
+    if options.deadline_ms is not None:
+        wire["deadline_ms"] = options.deadline_ms
+    if options.kernel is not None:
+        wire["kernel"] = options.kernel
     return wire
 
 
@@ -328,51 +332,36 @@ def search_request(
     request_id: int,
     query: str,
     options,
-    version: int = PROTOCOL_VERSION,
     trace_id: str | None = None,
     parent_span: str | None = None,
 ) -> dict:
-    """A ``search`` request frame (encoded for ``version``).
+    """A ``search`` request frame.
 
     ``trace_id`` / ``parent_span`` propagate a distributed trace
     context: the server adopts them so its span tree lands in its ring
     under the *caller's* id, fetchable for stitching.  They ride as
-    optional top-level keys — ``parse_request`` ignores unknown keys,
-    so old peers drop them silently — and are only encoded on v2+
-    connections to keep v1 frames byte-stable.
+    optional top-level keys, encoded only when supplied.
     """
     frame = {
-        "v": version,
+        "v": PROTOCOL_VERSION,
         "type": "request",
         "id": request_id,
         "verb": "search",
         "query": query,
-        "options": options_to_wire(options, version),
+        "options": options_to_wire(options),
     }
-    if version >= 2:
-        if trace_id is not None:
-            frame["trace_id"] = trace_id
-        if parent_span is not None:
-            frame["parent_span"] = parent_span
+    if trace_id is not None:
+        frame["trace_id"] = trace_id
+    if parent_span is not None:
+        frame["parent_span"] = parent_span
     return frame
 
 
-def ingest_request(
-    request_id: int,
-    name: str,
-    sequence: str,
-    version: int = PROTOCOL_VERSION,
-) -> dict:
+def ingest_request(request_id: int, name: str, sequence: str) -> dict:
     """An ``ingest`` request frame: append one record to the server's
-    write-ahead journal.  v2-only — a v1 connection has no durable
-    ingest path, so encoding for one is a caller error, not a silent
-    downgrade."""
-    if version < 2:
-        raise ValueError(
-            f"ingest needs protocol v2+, connection negotiated v{version}"
-        )
+    write-ahead journal."""
     return {
-        "v": version,
+        "v": PROTOCOL_VERSION,
         "type": "request",
         "id": request_id,
         "verb": "ingest",
@@ -380,21 +369,12 @@ def ingest_request(
     }
 
 
-def admin_request(
-    request_id: int,
-    verb: str,
-    arg: str | None = None,
-    version: int = PROTOCOL_VERSION,
-) -> dict:
+def admin_request(request_id: int, verb: str, arg: str | None = None) -> dict:
     """A ``stats`` / ``metrics`` / ``trace`` / ``ping`` /
     ``health`` / ``reload`` request frame."""
     if verb not in VERBS or verb in ("search", "ingest"):
         raise ValueError(f"unknown admin verb {verb!r}")
-    if verb in V2_VERBS and version < 2:
-        raise ValueError(
-            f"verb {verb!r} needs protocol v2+, connection negotiated v{version}"
-        )
-    frame = {"v": version, "type": "request", "id": request_id, "verb": verb}
+    frame = {"v": PROTOCOL_VERSION, "type": "request", "id": request_id, "verb": verb}
     if arg is not None:
         frame["arg"] = arg
     return frame
@@ -405,7 +385,7 @@ class ParsedRequest:
     """A validated request frame, ready for dispatch.
 
     ``trace_id`` / ``parent_span`` carry the caller's distributed
-    trace context when the frame arrived with one (v2 ``search`` only).
+    trace context when the frame arrived with one (``search`` only).
     """
 
     request_id: int
@@ -431,8 +411,6 @@ def parse_request(frame: dict) -> ParsedRequest:
         raise ProtocolError(
             f"unknown verb {verb!r} (use one of {', '.join(VERBS)})"
         )
-    if verb in V2_VERBS and frame.get("v", PROTOCOL_VERSION) < 2:
-        raise ProtocolError(f"verb {verb!r} needs protocol v2+")
     query = frame.get("query")
     if verb == "search":
         if not isinstance(query, str) or not query:
@@ -524,14 +502,12 @@ def _hit_from_wire(wire: dict) -> ScanHit:
     )
 
 
-def response_frame(
-    request_id: int, response: SearchResponse, version: int = PROTOCOL_VERSION
-) -> dict:
+def response_frame(request_id: int, response: SearchResponse) -> dict:
     """Encode one :class:`SearchResponse` as a response frame."""
     report = response.report
     metrics = response.metrics
     return {
-        "v": version,
+        "v": PROTOCOL_VERSION,
         "type": "response",
         "id": request_id,
         "query": response.query,
@@ -593,12 +569,10 @@ def parse_response(frame: dict) -> SearchResponse:
         raise ProtocolError(f"malformed response frame: {exc!r}") from None
 
 
-def result_frame(
-    request_id: int, payload: dict, version: int = PROTOCOL_VERSION
-) -> dict:
+def result_frame(request_id: int, payload: dict) -> dict:
     """An admin-verb result (``stats`` dict, ``metrics`` text, ...)."""
     return {
-        "v": version,
+        "v": PROTOCOL_VERSION,
         "type": "result",
         "id": request_id,
         "payload": payload,
@@ -608,12 +582,10 @@ def result_frame(
 # ----------------------------------------------------------------------
 # Errors
 # ----------------------------------------------------------------------
-def error_frame(
-    request_id: int | None, code: str, message: str, version: int = PROTOCOL_VERSION
-) -> dict:
+def error_frame(request_id: int | None, code: str, message: str) -> dict:
     """A structured error frame (``id`` may be None for framing errors)."""
     return {
-        "v": version,
+        "v": PROTOCOL_VERSION,
         "type": "error",
         "id": request_id,
         "code": code,

@@ -296,7 +296,7 @@ class FaultPlan:
     shard attempt and ships the matching fault (if any) into the
     worker; the plan itself never crosses the process boundary.  Only
     supervised workers honor the plan — the engine's in-process
-    fallback path is the trusted reference and ignores it.
+    sweeps, the fallback path included, never see it.
     """
 
     def __init__(self, faults: Iterable[Fault] = ()) -> None:

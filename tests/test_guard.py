@@ -315,11 +315,11 @@ class TestIndexManager:
         manager.attach_cache(cache)
         stale = CacheKey(
             query="ACGT", scheme="s", index_version="v", min_score=1, top=5,
-            generation=1,
+            kernel="pure", generation=1,
         )
         fresh_after_swap = CacheKey(
             query="ACGT", scheme="s", index_version="v", min_score=1, top=5,
-            generation=2,
+            kernel="pure", generation=2,
         )
         cache.put(stale, "old-answer")
         assert manager.swap(small_index(seed=6)) == 2
@@ -395,7 +395,7 @@ class TestIndexManager:
                 # Cache entries keyed to dead generations must be gone.
                 key = CacheKey(
                     query="ACGT", scheme="s", index_version="v",
-                    min_score=1, top=5, generation=manager.generation,
+                    min_score=1, top=5, kernel="pure", generation=manager.generation,
                 )
                 cache.put(key, "live-answer")
 
@@ -418,7 +418,7 @@ class TestIndexManager:
         for generation in range(1, live):
             stale = CacheKey(
                 query="ACGT", scheme="s", index_version="v",
-                min_score=1, top=5, generation=generation,
+                min_score=1, top=5, kernel="pure", generation=generation,
             )
             assert cache.get(stale) is None
         assert manager.index.record_count == 6  # still serving a real index

@@ -50,7 +50,7 @@ from conftest import dna_pair, dna_text, linear_schemes
 
 #: Backends cheap enough for full-size Hypothesis sweeps; ``hw-sim``
 #: (the cycle-accurate emulator) joins on smaller inputs only.
-FAST_BACKENDS = ("reference", "pure", "numpy-striped")
+FAST_BACKENDS = ("pure", "numpy-striped")
 
 
 def ranking(hits):
@@ -62,10 +62,7 @@ def ranking(hits):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        names = available_backends()
-        for expected in ("reference", "pure", "numpy-striped", "hw-sim"):
-            assert expected in names
-        assert names == tuple(sorted(names))
+        assert available_backends() == ("hw-sim", "numpy-striped", "pure")
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -87,7 +84,7 @@ class TestRegistry:
             default_kernel()
 
     def test_instances_are_shared(self):
-        assert get_backend("reference") is get_backend("reference")
+        assert get_backend("pure") is get_backend("pure")
 
     def test_register_rejects_bad_names(self):
         with pytest.raises(ValueError, match="lowercase token"):
@@ -97,7 +94,7 @@ class TestRegistry:
 
     def test_register_rejects_silent_shadowing(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend("reference", StripedKernel)
+            register_backend("pure", StripedKernel)
 
     def test_register_and_replace_third_party(self):
         class Custom(KernelBackend):
@@ -130,8 +127,8 @@ class TestWorkerSpec:
         spec = WorkerSpec()
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert spec.resolved_kernel() == DEFAULT_KERNEL
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        assert spec.resolved_kernel() == "reference"
+        monkeypatch.setenv("REPRO_KERNEL", "pure")
+        assert spec.resolved_kernel() == "pure"
 
     def test_hw_sim_builds_a_device_of_elements(self):
         spec = WorkerSpec("hw-sim", elements=16)
@@ -154,7 +151,7 @@ class TestWorkerSpec:
 def locate_one(name, s, t, scheme=None):
     """One pair through ``name``'s batched entry point.
 
-    ``numpy-striped``'s own ``locate`` is the reference row sweep, so
+    ``numpy-striped``'s own ``locate`` is the row sweep, so
     the single-pair identity tests reach its kernel through a one-pair
     batch instead.
     """
@@ -265,12 +262,10 @@ class TestBatchEquivalence:
     )
     @settings(max_examples=30)
     def test_batch_equals_sequential(self, queries, targets, scheme):
-        for name in ("reference", "numpy-striped"):
-            backend = get_backend(name)
-            batch = backend.locate_batch(queries, targets, scheme)
-            for qi, q in enumerate(queries):
-                for ti, t in enumerate(targets):
-                    assert batch[qi][ti] == sw_locate_best(q, t, scheme)
+        batch = get_backend("numpy-striped").locate_batch(queries, targets, scheme)
+        for qi, q in enumerate(queries):
+            for ti, t in enumerate(targets):
+                assert batch[qi][ti] == sw_locate_best(q, t, scheme)
 
     def test_striped_chunking_preserves_results(self):
         # A one-record cell budget forces a chunk per record, including
@@ -278,9 +273,9 @@ class TestBatchEquivalence:
         queries = [random_dna(20, seed=1), random_dna(12, seed=2)]
         targets = [random_dna(n, seed=10 + n) for n in (5, 40, 17, 31, 8)]
         tiny = StripedKernel(cell_budget=1)
-        assert tiny.locate_batch(queries, targets) == get_backend(
-            "reference"
-        ).locate_batch(queries, targets)
+        assert tiny.locate_batch(queries, targets) == [
+            [sw_locate_best(q, t) for t in targets] for q in queries
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -366,12 +361,6 @@ class TestQueryOptionsKernel:
         defaults = QueryOptions(kernel="numpy-striped")
         assert protocol.options_from_wire(wire, defaults).kernel == "numpy-striped"
 
-    def test_v1_encoding_drops_kernel(self):
-        wire = protocol.options_to_wire(
-            QueryOptions(kernel="numpy-striped"), version=1
-        )
-        assert "kernel" not in wire
-
     def test_non_string_kernel_rejected(self):
         with pytest.raises(ValueError, match="non-empty string"):
             protocol.options_from_wire({"kernel": 3})
@@ -425,7 +414,7 @@ class TestEngineKernelSelection:
         query, index = planted_index
         # Pin the engine default so the override below genuinely
         # differs even when REPRO_KERNEL=numpy-striped is exported.
-        engine = SearchEngine(index, spec=WorkerSpec("reference"))
+        engine = SearchEngine(index, spec=WorkerSpec("pure"))
         first = engine.search(query, QueryOptions(top=5))
         assert not first.metrics.cache_hit
         hit = engine.search(query, QueryOptions(top=5))

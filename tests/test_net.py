@@ -346,11 +346,7 @@ class TestFaults:
                 conn, _ = listener.accept()
                 with conn:
                     _recv_frame(conn)  # client hello
-                    conn.sendall(
-                        protocol.encode_frame(
-                            protocol.hello_reply(protocol.PROTOCOL_VERSION)
-                        )
-                    )
+                    conn.sendall(protocol.encode_frame(protocol.hello_reply()))
                     _recv_frame(conn)  # the search request
                     # Promise a 64-byte response, deliver 7 bytes, die.
                     conn.sendall(protocol.HEADER.pack(64) + b'{"v": 2')
@@ -387,6 +383,41 @@ class TestFaults:
                 sock.sendall(protocol.HEADER.pack(5) + b"{nope")
                 frame = _recv_frame(sock)
                 assert frame["type"] == "error" and frame["code"] == "protocol"
+
+
+class TestWireVersion:
+    def test_v1_hello_and_v1_request_answer_protocol_error(self, planted):
+        _, _, index = planted
+        with ServerThread(make_engine(index)) as handle:
+            with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+                hello = {"v": 1, "type": "hello", "versions": [1]}
+                sock.sendall(protocol.encode_frame(hello))
+                frame = _recv_frame(sock)
+                assert frame["type"] == "error" and frame["code"] == "protocol"
+                assert "no shared protocol version" in frame["message"]
+                ping = dict(protocol.admin_request(1, "ping"), v=1)
+                sock.sendall(protocol.encode_frame(ping))
+                frame = _recv_frame(sock)
+                assert frame["type"] == "error" and frame["code"] == "protocol"
+                assert frame["id"] == 1
+                # A refused frame is an answer, not a broken stream.
+                sock.sendall(protocol.encode_frame(protocol.admin_request(2, "ping")))
+                frame = _recv_frame(sock)
+                assert frame["type"] == "result" and frame["payload"] == {"pong": True}
+
+    def test_hello_less_v2_request_is_served(self, planted):
+        query, _, index = planted
+        engine = make_engine(index)
+        inline = engine.search(query, QueryOptions(top=3))
+        with ServerThread(engine) as handle:
+            with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+                request = protocol.search_request(4, query, QueryOptions(top=3))
+                sock.sendall(protocol.encode_frame(request))
+                frame = _recv_frame(sock)
+        assert frame["type"] == "response" and frame["id"] == 4
+        assert frame["v"] == protocol.PROTOCOL_VERSION
+        remote = protocol.parse_response(frame)
+        assert ranking(remote.report.hits) == ranking(inline.report.hits)
 
 
 class TestLifecycle:

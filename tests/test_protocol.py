@@ -92,11 +92,27 @@ class TestNegotiation:
     def test_happy_path(self):
         version = protocol.negotiate(protocol.hello_frame())
         assert version == protocol.PROTOCOL_VERSION
-        assert protocol.check_hello_reply(protocol.hello_reply(version)) == version
+        assert protocol.check_hello_reply(protocol.hello_reply()) == version
 
     def test_no_shared_version(self):
-        with pytest.raises(ProtocolError, match="no shared protocol version"):
-            protocol.negotiate({"v": 99, "type": "hello", "versions": [99]})
+        for version in (1, 99):  # v1 is removed; 99 is from the future
+            with pytest.raises(ProtocolError, match="no shared protocol version"):
+                protocol.negotiate(
+                    {"v": version, "type": "hello", "versions": [version]}
+                )
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_versions_are_type_strict(self, bad):
+        # JSON true and 2.0 compare equal to 1 and 2 in Python; neither
+        # is a protocol version, at any of the three checks.
+        with pytest.raises(ProtocolError, match="integer versions"):
+            protocol.negotiate({"type": "hello", "versions": [bad]})
+        reply = dict(protocol.hello_reply(), version=bad)
+        with pytest.raises(ProtocolError, match="unsupported version"):
+            protocol.check_hello_reply(reply)
+        frame = dict(protocol.search_request(1, "ACGT", QueryOptions()), v=bad)
+        with pytest.raises(ProtocolError, match="unsupported protocol version"):
+            protocol.parse_request(frame)
 
     def test_malformed_versions(self):
         with pytest.raises(ProtocolError, match="integer versions"):
@@ -115,9 +131,10 @@ class TestNegotiation:
 
     def test_version_mismatch_on_request(self):
         frame = protocol.search_request(1, "ACGT", QueryOptions())
-        frame["v"] = max(protocol.SUPPORTED_VERSIONS) + 1
-        with pytest.raises(ProtocolError, match="unsupported protocol version"):
-            protocol.parse_request(frame)
+        for version in (1, protocol.PROTOCOL_VERSION + 1):
+            frame["v"] = version
+            with pytest.raises(ProtocolError, match="unsupported protocol version"):
+                protocol.parse_request(frame)
 
 
 # ----------------------------------------------------------------------
@@ -195,14 +212,16 @@ class TestTraceContext:
         assert parsed.trace_id == trace_id
         assert parsed.parent_span == parent_span
 
-    def test_v1_frames_stay_byte_stable(self):
-        # Old peers never see the new keys, even when a caller passes them.
-        frame = protocol.search_request(
-            1, "ACGT", QueryOptions(), version=1, trace_id="t1", parent_span="s1"
+    def test_v2_frames_stay_byte_stable(self):
+        # A golden search request, every optional key set: the bytes a
+        # deployed peer sends may not move.
+        options = QueryOptions(
+            top=3, min_score=2, retrieve=1, deadline_ms=250, kernel="numpy-striped"
         )
-        assert "trace_id" not in frame and "parent_span" not in frame
-        parsed = protocol.parse_request(frame)
-        assert parsed.trace_id is None and parsed.parent_span is None
+        frame = protocol.search_request(
+            7, "ACGTTGCA", options, trace_id="t000001", parent_span="cluster.fanout"
+        )
+        assert protocol.encode_frame(frame) == GOLDEN_SEARCH_REQUEST
 
     def test_context_omitted_when_not_supplied(self):
         frame = protocol.search_request(1, "ACGT", QueryOptions())
@@ -230,6 +249,21 @@ class TestTraceContext:
 # ----------------------------------------------------------------------
 # Responses
 # ----------------------------------------------------------------------
+GOLDEN_SEARCH_REQUEST = (
+    b'\x00\x00\x00\xd0{"id":7,"options":{"deadline_ms":250,"kernel":"numpy-striped",'
+    b'"min_score":2,"retrieve":1,"top":3},"parent_span":"cluster.fanout",'
+    b'"query":"ACGTTGCA","trace_id":"t000001","type":"request","v":2,"verb":"search"}'
+)
+GOLDEN_RESPONSE = (
+    b'\x00\x00\x014{"cache_hit":false,"cells":96,"coverage":1.0,"degraded_shards":[],'
+    b'"hits":[{"evalue":0.125,"i":7,"j":10,"length":12,"record":"rec1","score":9}],'
+    b'"id":7,"min_score":2,"query":"ACGTTGCA","records":4,"retrieval_seconds":0.25,'
+    b'"shards":3,"sweep_seconds":0.5,"total_seconds":0.75,"type":"response","v":2,'
+    b'"workers":2}'
+)
+GOLDEN_RESULT = b'\x00\x00\x006{"id":8,"payload":{"pong":true},"type":"result","v":2}'
+
+
 def make_response(query="ACGTACGT", degraded=False, with_alignment=False):
     report = ScanReport(
         query_length=len(query),
@@ -303,9 +337,41 @@ class TestResponses:
         with pytest.raises(ProtocolError, match="malformed response"):
             protocol.parse_response(frame)
 
+    def test_response_and_result_frames_stay_byte_stable(self):
+        report = ScanReport(
+            query_length=8,
+            min_score=2,
+            records_scanned=4,
+            cells=96,
+            sweep_seconds=0.5,
+            total_seconds=0.75,
+        )
+        report.hits.append(
+            ScanHit(record="rec1", length=12, hit=LocalHit(9, 7, 10), evalue=0.125)
+        )
+        metrics = RequestMetrics(
+            query_length=8,
+            records=4,
+            cells=96,
+            sweep_seconds=0.5,
+            retrieval_seconds=0.25,
+            total_seconds=0.75,
+            workers=2,
+            shards=3,
+            cache_hit=False,
+        )
+        response = SearchResponse(
+            query="ACGTTGCA", report=report, metrics=metrics, coverage=1.0,
+            degraded_shards=(),
+        )
+        frame = protocol.response_frame(7, response)
+        assert protocol.encode_frame(frame) == GOLDEN_RESPONSE
+        pong = protocol.result_frame(8, {"pong": True})
+        assert protocol.encode_frame(pong) == GOLDEN_RESULT
+
     def test_wrong_type_is_protocol_error(self):
         with pytest.raises(ProtocolError, match="expected a response"):
-            protocol.parse_response({"v": 1, "type": "result"})
+            protocol.parse_response({"v": 2, "type": "result"})
 
 
 # ----------------------------------------------------------------------

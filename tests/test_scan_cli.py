@@ -76,7 +76,6 @@ class TestScan:
         query, records = database_records
         report = scan_database(query, records, retrieve=3)
         assert 0 < report.sweep_seconds <= report.total_seconds
-        assert report.seconds == report.total_seconds  # back-compat alias
         assert report.cups == report.cells / report.sweep_seconds
 
     def test_render(self, database_records):

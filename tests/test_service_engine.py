@@ -278,7 +278,7 @@ class TestCacheSemantics:
     def test_lru_eviction(self):
         cache = ResultCache(capacity=2)
         keys = [
-            CacheKey(q, scheme_token(LinearScoring()), "v", 1, 10)
+            CacheKey(q, scheme_token(LinearScoring()), "v", 1, 10, "pure")
             for q in ("A", "B", "C")
         ]
         cache.put(keys[0], 0)
