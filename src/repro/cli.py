@@ -40,7 +40,7 @@ Commands mirror the repository's main workflows:
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import sys
 from pathlib import Path
 
@@ -117,6 +117,46 @@ def _build_engine(args, obs=None):
         pool=pool,
         obs=obs,
     )
+
+
+@contextlib.contextmanager
+def _stop_signal(reload_signal: int | None = None, reload=None):
+    """Arm SIGINT/SIGTERM (and ``reload_signal``); yield the stop event.
+
+    The serving commands start their servers inside the block, then
+    wait on the event and drain.  Explicit handlers, not Python's
+    default KeyboardInterrupt, so the drain also runs when the process
+    was started with SIGINT ignored (the fate of every ``cmd &`` child
+    of a non-interactive shell, CI steps included) and when a
+    supervisor sends SIGTERM.  The handlers are armed before any port
+    is announced, so a signal sent on the ``listening`` line drains.
+    ``reload`` runs on a thread of its own, so a slow index load never
+    holds up a stop signal.  The previous handlers return on exit.
+    """
+    import signal
+    import threading
+
+    stop = threading.Event()
+    handlers = dict.fromkeys((signal.SIGINT, signal.SIGTERM), lambda *_: stop.set())
+    if reload_signal is not None:
+        handlers[reload_signal] = lambda *_: threading.Thread(
+            target=reload, name="repro-reload", daemon=True
+        ).start()
+    previous = {sig: signal.signal(sig, handler) for sig, handler in handlers.items()}
+    try:
+        yield stop
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+
+
+def _start_dumper(args, snapshot):
+    """The started ``--metrics-file`` dumper, or ``None`` without the flag."""
+    if args.metrics_file is None:
+        return None
+    from .obs import PeriodicDumper
+
+    return PeriodicDumper(snapshot, args.metrics_file, args.metrics_interval).start()
 
 
 def _sequence_arg(value: str) -> str:
@@ -598,40 +638,30 @@ def _cmd_cluster(args) -> int:
     from .service.protocol import classify_exception, format_error_line
 
     if args.cluster_command == "partition":
-        from .service.cluster import partition_index
+        from .service.cluster import write_partition
         from .service.index import DEFAULT_SHARD_BP
 
-        index = _load_index(args.database)
-        topology, parts = partition_index(
-            index, args.nodes, shard_bp=args.shard_bp or DEFAULT_SHARD_BP
+        topology = write_partition(
+            _load_index(args.database),
+            args.nodes,
+            args.outdir,
+            shard_bp=args.shard_bp or DEFAULT_SHARD_BP,
         )
-        args.outdir.mkdir(parents=True, exist_ok=True)
-        bound_nodes = []
-        for spec, part in zip(topology.nodes, parts):
+        for spec in topology.nodes:
             if spec.empty:
-                bound_nodes.append(spec)
                 print(f"node {spec.node_id}: empty span (more nodes than records)")
-                continue
-            index_path = args.outdir / f"node-{spec.node_id}.npz"
-            part.save(index_path)
-            bound_nodes.append(
-                dataclasses.replace(spec, index_path=str(index_path))
-            )
-            print(
-                f"node {spec.node_id}: records [{spec.start}, {spec.stop}) "
-                f"-> {index_path}"
-            )
-        topology = dataclasses.replace(topology, nodes=tuple(bound_nodes))
+            else:
+                print(
+                    f"node {spec.node_id}: records [{spec.start}, {spec.stop}) "
+                    f"-> {spec.index_path}"
+                )
         manifest_path = args.outdir / "cluster.json"
         topology.save(manifest_path)
         print(f"wrote {manifest_path}")
         return 0
 
     if args.cluster_command == "serve":
-        import signal as signal_mod
-        import threading
-
-        from .obs import FleetDumper, MetricsAggregator, Observability
+        from .obs import MetricsAggregator, Observability
         from .service import DatabaseIndex, SearchEngine, WorkerSpec
         from .service.cluster import ClusterTopology
         from .service.net import ServerConfig, ServerThread
@@ -640,70 +670,60 @@ def _cmd_cluster(args) -> int:
         servers: list[ServerThread] = []
         addresses: list[str] = []
         registries = {}
-        try:
-            for spec in topology.nodes:
-                if spec.empty:
-                    addresses.append("")
-                    continue
-                if not spec.index_path:
-                    print(
-                        f"error bad-request node {spec.node_id} has no index_path "
-                        "(re-run `repro cluster partition`)",
-                        file=sys.stderr,
+        dumper = None
+        with _stop_signal() as stop:
+            try:
+                for spec in topology.nodes:
+                    if spec.empty:
+                        addresses.append("")
+                        continue
+                    if not spec.index_path:
+                        print(
+                            f"error bad-request node {spec.node_id} has no index_path "
+                            "(re-run `repro cluster partition`)",
+                            file=sys.stderr,
+                        )
+                        return 1
+                    # Each node gets its own obs bundle, like a separate
+                    # process would: its `metrics` verb answers with its
+                    # own registry, which `repro cluster stats` aggregates.
+                    node_obs = Observability.create()
+                    registries[str(spec.node_id)] = node_obs.registry
+                    engine = SearchEngine(
+                        DatabaseIndex.load(spec.index_path),
+                        workers=args.workers,
+                        spec=WorkerSpec(args.kernel),
+                        obs=node_obs,
                     )
-                    return 1
-                # Each node gets its own obs bundle, like a separate
-                # process would: its `metrics` verb answers with its own
-                # registry, which `repro cluster stats` aggregates.
-                node_obs = Observability.create()
-                registries[str(spec.node_id)] = node_obs.registry
-                engine = SearchEngine(
-                    DatabaseIndex.load(spec.index_path),
-                    workers=args.workers,
-                    spec=WorkerSpec(args.kernel),
-                    obs=node_obs,
-                )
-                server = ServerThread(
-                    engine,
-                    config=ServerConfig(
-                        host=args.host, port=0, batch_window=args.batch_window
-                    ),
-                    obs=node_obs,
-                )
-                server.start()
-                servers.append(server)
-                address = f"{server.host}:{server.port}"
-                addresses.append(address)
+                    server = ServerThread(
+                        engine,
+                        config=ServerConfig(
+                            host=args.host, port=0, batch_window=args.batch_window
+                        ),
+                        obs=node_obs,
+                    ).start()
+                    servers.append(server)
+                    address = f"{server.host}:{server.port}"
+                    addresses.append(address)
+                    print(
+                        f"node {spec.node_id} listening on {address} "
+                        f"(records [{spec.start}, {spec.stop}))",
+                        flush=True,
+                    )
+                bound = topology.with_addresses(addresses)
+                out_path = args.out if args.out is not None else args.manifest
+                bound.save(out_path)
                 print(
-                    f"node {spec.node_id} listening on {address} "
-                    f"(records [{spec.start}, {spec.stop}))",
-                    flush=True,
+                    f"cluster ready nodes={len(servers)} manifest={out_path}", flush=True
                 )
-            bound = topology.with_addresses(addresses)
-            out_path = args.out if args.out is not None else args.manifest
-            bound.save(out_path)
-            print(f"cluster ready nodes={len(servers)} manifest={out_path}", flush=True)
-
-            dumper = None
-            if args.metrics_file is not None:
-                dumper = FleetDumper(
-                    MetricsAggregator.from_registries(registries),
-                    args.metrics_file,
-                    interval=args.metrics_interval,
-                )
-            stop = threading.Event()
-            for signum in (signal_mod.SIGINT, signal_mod.SIGTERM):
-                signal_mod.signal(signum, lambda *_: stop.set())
-            if dumper is None:
+                aggregator = MetricsAggregator.from_registries(registries)
+                dumper = _start_dumper(args, lambda: aggregator.scrape().snapshot())
                 stop.wait()
-            else:
-                tick = max(0.05, min(args.metrics_interval, 1.0))
-                while not stop.wait(timeout=tick):
-                    dumper.maybe_dump()
-                dumper.dump()  # final coherent view after drain
-        finally:
-            for server in servers:
-                server.stop()
+            finally:
+                for server in servers:
+                    server.stop()
+                if dumper is not None:
+                    dumper.stop()  # the final fleet view, after the drain
         served = sum(server.server.served for server in servers)
         print(f"cluster drained; served {served} requests")
         return 0
@@ -913,9 +933,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "serve":
-        from .obs import Observability, PeriodicDumper, configure_logging
+        from .obs import Observability, configure_logging
         from .service import QueryOptions
-        from .service.net import ServerConfig, TcpSearchServer
+        from .service.net import ServerConfig, ServerThread
 
         if args.log_level is not None or args.log_json:
             configure_logging(args.log_level or "info", json_lines=args.log_json)
@@ -945,39 +965,30 @@ def main(argv: list[str] | None = None) -> int:
             max_inflight=args.max_inflight,
             adaptive=not args.static_inflight,
         )
-        server = TcpSearchServer(engine, config=config, defaults=defaults, obs=obs)
-
-        def _announce(srv):
-            print(f"listening on {srv.host}:{srv.port}", flush=True)
-
         reload_signal = None
         if args.reload_signal is not None:
-            import signal as signal_mod
+            import signal
 
-            reload_signal = getattr(signal_mod, f"SIG{args.reload_signal.upper()}")
-        dumper = dump_stop = None
-        if args.metrics_file is not None:
-            # run_blocking owns the thread until shutdown, so the
-            # dumper ticks on a daemon thread; one final dump after
-            # drain leaves a coherent last snapshot.
-            import threading as threading_mod
+            reload_signal = getattr(signal, f"SIG{args.reload_signal.upper()}")
 
-            dumper = PeriodicDumper(obs.registry, args.metrics_file, args.metrics_interval)
-            dump_stop = threading_mod.Event()
-            tick = max(0.05, min(args.metrics_interval, 1.0))
+        def _reload() -> None:
+            try:
+                engine.reload_index()
+            except Exception as exc:  # noqa: BLE001 - the old generation keeps serving
+                obs.log.error("net.reload-failed", error=str(exc))
 
-            def _dump_loop():
-                while not dump_stop.wait(timeout=tick):
-                    dumper.maybe_dump()
-
-            threading_mod.Thread(target=_dump_loop, daemon=True).start()
-        try:
-            server.run_blocking(ready=_announce, reload_signal=reload_signal)
-        finally:
-            if dump_stop is not None:
-                dump_stop.set()
-                dumper.dump()
-        print(f"served {server.served} requests")
+        server = ServerThread(engine, config=config, defaults=defaults, obs=obs)
+        with _stop_signal(reload_signal, _reload) as stop:
+            server.start()
+            print(f"listening on {server.host}:{server.port}", flush=True)
+            dumper = _start_dumper(args, obs.registry.snapshot)
+            try:
+                stop.wait()
+            finally:
+                server.stop()
+                if dumper is not None:
+                    dumper.stop()  # the final snapshot, after the drain
+        print(f"served {server.server.served} requests")
         return 0
 
     if args.command == "query":

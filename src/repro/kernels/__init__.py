@@ -163,9 +163,8 @@ class HwSimBackend(KernelBackend):
 
     name = "hw-sim"
 
-    def __init__(self, elements: int = 100, engine: str = "emulator") -> None:
+    def __init__(self, elements: int = 100) -> None:
         self.elements = elements
-        self.engine = engine
         # Keyed by id(scheme) with the scheme kept alive in the value,
         # so the id can never be recycled while the entry exists.
         self._devices: dict[int, tuple[object, object]] = {}
@@ -175,9 +174,7 @@ class HwSimBackend(KernelBackend):
         if entry is None:
             from ..core.accelerator import SWAccelerator
 
-            device = SWAccelerator(
-                elements=self.elements, scheme=scheme, engine=self.engine
-            )
+            device = SWAccelerator(elements=self.elements, scheme=scheme)
             entry = (scheme, device)
             self._devices[id(scheme)] = entry
         return entry[1]

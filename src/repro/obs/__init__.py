@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from .distributed import (
     DEFAULT_OBJECTIVES,
     Exposition,
-    FleetDumper,
     FleetView,
     MetricsAggregator,
     NodeScrape,
@@ -71,7 +70,6 @@ __all__ = [
     "NULL_TRACER",
     "Counter",
     "Exposition",
-    "FleetDumper",
     "FleetView",
     "Gauge",
     "Histogram",

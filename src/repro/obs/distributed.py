@@ -21,9 +21,10 @@ path for the software cluster:
   as gauges and structured log events on threshold crossings;
 * :func:`stitch_trace` / :func:`synthesize_trace` — graft per-node
   span trees (fetched by the coordinator's trace id) under the
-  coordinator's fan-out span, yielding one cross-node trace;
-* :class:`FleetDumper` — the ``--metrics-file`` periodic JSON dump of
-  an aggregated scrape (atomic rename, like ``PeriodicDumper``).
+  coordinator's fan-out span, yielding one cross-node trace.
+
+A fleet's ``--metrics-file`` is :class:`~repro.obs.metrics.PeriodicDumper`
+over a fresh :meth:`MetricsAggregator.scrape` per write.
 
 Everything here is pure python over the wire surfaces that already
 exist (``metrics`` and ``trace`` verbs); nodes need no new endpoint to
@@ -32,15 +33,12 @@ participate.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..io.atomic import atomic_write
 from .log import StructLogger, get_logger
 from .metrics import (
     Histogram,
@@ -53,7 +51,6 @@ from .trace import Span
 __all__ = [
     "DEFAULT_OBJECTIVES",
     "Exposition",
-    "FleetDumper",
     "FleetView",
     "MetricsAggregator",
     "NodeScrape",
@@ -544,48 +541,6 @@ class MetricsAggregator:
                     NodeScrape(label, error=f"{type(exc).__name__}: {exc}")
                 )
         return FleetView(scrapes)
-
-
-class FleetDumper:
-    """Periodic aggregated-snapshot dump — ``--metrics-file`` for a fleet.
-
-    Same contract as :class:`repro.obs.metrics.PeriodicDumper` (throttled
-    ``maybe_dump``, atomic rename) but each write is a fresh fleet-wide
-    scrape, so the file always holds one coherent cross-node view.
-    """
-
-    def __init__(
-        self,
-        aggregator: MetricsAggregator,
-        path,
-        interval: float = 5.0,
-        clock=time.monotonic,
-    ) -> None:
-        if interval < 0:
-            raise ValueError(f"interval cannot be negative, got {interval}")
-        self.aggregator = aggregator
-        self.path = Path(path)
-        self.interval = interval
-        self.clock = clock
-        self.dumps = 0
-        self._last: float | None = None
-
-    def maybe_dump(self) -> bool:
-        now = self.clock()
-        if self._last is not None and now - self._last < self.interval:
-            return False
-        self.dump()
-        self._last = now
-        return True
-
-    def dump(self) -> None:
-        snapshot = self.aggregator.scrape().snapshot()
-        atomic_write(
-            self.path,
-            json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
-            fsync=False,
-        )
-        self.dumps += 1
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ import re
 import threading
 import time
 from bisect import bisect_left
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -343,18 +343,23 @@ NULL_REGISTRY = NullRegistry()
 
 
 class PeriodicDumper:
-    """Throttled JSON snapshots of a registry to a file.
+    """Throttled JSON snapshots to a file, written by a tick thread of its own.
 
-    ``maybe_dump`` is called from a request loop after every request
-    and writes at most once per ``interval`` seconds (plus whenever
-    ``dump`` is called directly — the loop's shutdown path).  Writes
-    go through a temp file + rename so a scraper never reads a torn
-    snapshot.
+    ``snapshot`` is a zero-argument callable returning a JSON-ready
+    dict: a registry's :meth:`~MetricsRegistry.snapshot` for one
+    server, or a fresh fleet scrape (``lambda:
+    aggregator.scrape().snapshot()``) for a cluster, so the file always
+    holds one coherent view.  :meth:`start` runs :meth:`maybe_dump` on
+    a daemon thread every ``min(interval, 1 s)`` (at least 50 ms), and
+    :meth:`maybe_dump` writes at most once per ``interval`` seconds.
+    :meth:`stop` ends the thread and writes one final dump, so the file
+    left behind after a drain is the last state.  Writes go through a
+    temp file + rename so a scraper never reads a torn snapshot.
     """
 
     def __init__(
         self,
-        registry: MetricsRegistry,
+        snapshot: Callable[[], dict],
         path,
         interval: float = 5.0,
         clock=time.monotonic,
@@ -363,12 +368,14 @@ class PeriodicDumper:
 
         if interval < 0:
             raise ValueError(f"interval cannot be negative, got {interval}")
-        self.registry = registry
+        self.snapshot = snapshot
         self.path = Path(path)
         self.interval = interval
         self.clock = clock
         self.dumps = 0
         self._last = None
+        self._stopping = threading.Event()
+        self._thread: threading.Thread | None = None
 
     def maybe_dump(self) -> bool:
         """Dump if the interval elapsed; returns whether a write happened."""
@@ -389,7 +396,28 @@ class PeriodicDumper:
 
         atomic_write(
             self.path,
-            json.dumps(self.registry.snapshot(), indent=2) + "\n",
+            json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n",
             fsync=False,
         )
         self.dumps += 1
+
+    def start(self) -> "PeriodicDumper":
+        """Start the tick thread; returns ``self``."""
+        tick = max(0.05, min(self.interval, 1.0))
+
+        def _tick() -> None:
+            while not self._stopping.wait(timeout=tick):
+                self.maybe_dump()
+
+        self._thread = threading.Thread(
+            target=_tick, name="repro-metrics-dump", daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop the tick thread, then write the final snapshot."""
+        self._stopping.set()
+        if self._thread is not None:
+            self._thread.join(timeout=10)
+        self.dump()

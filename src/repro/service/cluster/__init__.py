@@ -9,7 +9,8 @@ scatter-gather every query over protocol v2:
 
 * :mod:`~repro.service.cluster.topology` — :class:`NodeSpec` /
   :class:`ClusterTopology` (contiguous ``even_spans`` record spans,
-  JSON manifest round-trip) and :func:`partition_index`;
+  JSON manifest round-trip), :func:`partition_index` and
+  :func:`write_partition` (the parts saved as ``node-N.npz`` files);
 * :mod:`~repro.service.cluster.merge` — the globally consistent
   top-k merge, provably bit-identical to the single-node ranking;
 * :mod:`~repro.service.cluster.coordinator` —
@@ -42,7 +43,7 @@ from .healthd import HealthMonitor, NodeHealth
 from .local import LocalCluster
 from .merge import NodeAnswer, merge_node_responses
 from .supervisor import ClusterSupervisor
-from .topology import ClusterTopology, NodeSpec, partition_index
+from .topology import ClusterTopology, NodeSpec, partition_index, write_partition
 
 __all__ = [
     "ClusterCoordinator",
@@ -57,4 +58,5 @@ __all__ = [
     "NodeSpec",
     "merge_node_responses",
     "partition_index",
+    "write_partition",
 ]

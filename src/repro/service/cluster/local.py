@@ -30,7 +30,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from pathlib import Path
 from typing import Sequence
 
 from ...obs import NULL_OBS, Observability
@@ -39,7 +38,7 @@ from ..engine import SearchEngine
 from ..index import DEFAULT_SHARD_BP, DatabaseIndex
 from ..net import ServerConfig, ServerThread
 from .coordinator import ClusterCoordinator
-from .topology import ClusterTopology, partition_index
+from .topology import ClusterTopology, partition_index, write_partition
 
 __all__ = ["LocalCluster"]
 
@@ -117,7 +116,7 @@ class _ProcessNode:
 
     def __init__(
         self,
-        index_path: Path,
+        index_path: str,
         workers: int,
         batch_window: float,
         startup_timeout: float,
@@ -195,7 +194,7 @@ class _ProcessNode:
         if self.proc is None:
             return
         if graceful and self.proc.poll() is None:
-            self.proc.terminate()  # SIGTERM → run_blocking drains
+            self.proc.terminate()  # SIGTERM → `repro serve` drains
             try:
                 self.proc.wait(timeout=15)
             except subprocess.TimeoutExpired:  # pragma: no cover - defensive
@@ -250,7 +249,6 @@ class LocalCluster:
             raise ValueError("replicas are only supported in thread mode")
         self.mode = mode
         self.obs = obs if obs is not None else NULL_OBS
-        unbound, parts = partition_index(index, nodes, shard_bp=shard_bp)
         self._nodes: dict[int, _ThreadNode | _ProcessNode] = {}
         #: Per-node obs bundles (thread mode with live cluster obs only):
         #: each thread node gets its *own* registry and tracer, like a
@@ -263,6 +261,12 @@ class LocalCluster:
         try:
             if mode == "process":
                 self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-cluster-")
+                unbound = write_partition(
+                    index, nodes, self._tmpdir.name, shard_bp=shard_bp
+                )
+                parts = [None] * len(unbound)
+            else:
+                unbound, parts = partition_index(index, nodes, shard_bp=shard_bp)
             for spec, part in zip(unbound.nodes, parts):
                 if spec.empty:
                     addresses.append("")
@@ -283,10 +287,8 @@ class LocalCluster:
                         batch_window=batch_window,
                     )
                 else:
-                    index_path = Path(self._tmpdir.name) / f"node-{spec.node_id}.npz"
-                    part.save(index_path)
                     node = _ProcessNode(
-                        index_path,
+                        spec.index_path,
                         workers=workers,
                         batch_window=batch_window,
                         startup_timeout=startup_timeout,

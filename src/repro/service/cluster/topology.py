@@ -32,7 +32,7 @@ from ...io.atomic import atomic_write
 from ...parallel.sharding import even_spans
 from ..index import DEFAULT_SHARD_BP, DatabaseIndex
 
-__all__ = ["NodeSpec", "ClusterTopology", "partition_index"]
+__all__ = ["NodeSpec", "ClusterTopology", "partition_index", "write_partition"]
 
 
 @dataclass(frozen=True)
@@ -261,3 +261,29 @@ def partition_index(
         source=index.source,
     )
     return topology, parts
+
+
+def write_partition(
+    index: DatabaseIndex,
+    nodes: int,
+    outdir: str | Path,
+    shard_bp: int = DEFAULT_SHARD_BP,
+) -> ClusterTopology:
+    """Partition ``index`` and save each node's part as ``outdir/node-N.npz``.
+
+    Returns the (unbound) topology with every non-empty node's
+    ``index_path`` set to its file; empty spans get no file.  This is
+    how every on-disk cluster is laid out: ``repro cluster partition``
+    and :class:`~repro.service.cluster.local.LocalCluster` process mode.
+    """
+    topology, parts = partition_index(index, nodes, shard_bp=shard_bp)
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    specs = []
+    for spec, part in zip(topology.nodes, parts):
+        if not spec.empty:
+            index_path = outdir / f"node-{spec.node_id}.npz"
+            part.save(index_path)
+            spec = replace(spec, index_path=str(index_path))
+        specs.append(spec)
+    return replace(topology, nodes=tuple(specs))

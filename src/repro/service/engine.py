@@ -305,11 +305,7 @@ class SearchEngine:
         engine_kernel = self.spec.resolved_kernel()
         if resolved.kernel is None or resolved.kernel == engine_kernel:
             return engine_kernel, None
-        override = WorkerSpec(
-            kind=resolved.kernel,
-            elements=self.spec.elements,
-            engine=self.spec.engine,
-        )
+        override = WorkerSpec(kind=resolved.kernel, elements=self.spec.elements)
         return resolved.kernel, override
 
     def _retrieve(

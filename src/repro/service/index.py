@@ -297,6 +297,12 @@ class DatabaseIndex:
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
         """Write the index as a single ``.npz`` file (no pickling)."""
+        # Crash-safe replacement: a process dying mid-save must never
+        # leave a torn index where a complete one used to be.
+        atomic_write(path, self.to_bytes())
+
+    def to_bytes(self) -> bytes:
+        """The exact ``.npz`` bytes :meth:`save` writes, built in memory."""
         meta = json.dumps(
             {
                 "magic": _MAGIC,
@@ -332,9 +338,7 @@ class DatabaseIndex:
             shard_hashes=shard_hashes,
             payload=payload,
         )
-        # Crash-safe replacement: a process dying mid-save must never
-        # leave a torn index where a complete one used to be.
-        atomic_write(path, buffer.getvalue())
+        return buffer.getvalue()
 
     @classmethod
     def load(

@@ -48,7 +48,6 @@ searches untouched.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import struct
 import threading
@@ -566,7 +565,7 @@ class IngestService:
             index = DatabaseIndex.build(
                 records, shards=1, source=f"delta-{segment:010d}"
             )
-            self.fs.publish(delta_path, _index_bytes(index), "delta")
+            self.fs.publish(delta_path, index.to_bytes(), "delta")
             self._deltas.append(
                 {
                     "segment": segment,
@@ -625,20 +624,6 @@ class IngestService:
             "seal_every": self.seal_every,
             "recovery_seconds": round(self.recovery_seconds, 6),
         }
-
-
-def _index_bytes(index: DatabaseIndex) -> bytes:
-    """A saved index's exact npz bytes, without touching disk twice."""
-    buffer = io.BytesIO()
-    # DatabaseIndex.save writes atomically through the real filesystem;
-    # the ingest path needs the bytes so FaultFS can own every barrier.
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-delta-") as scratch:
-        path = Path(scratch) / "delta.npz"
-        index.save(path)
-        buffer.write(path.read_bytes())
-    return buffer.getvalue()
 
 
 def _quarantined_placeholder(entry: dict) -> DatabaseIndex:

@@ -36,17 +36,22 @@ machinery with:
   :meth:`SearchEngine.search_batch` sweep, so concurrent clients share
   a single pass over the index exactly as SWAPHI keeps many queries
   resident against one database;
-* **idle / request timeouts** — a silent connection is closed after
-  ``idle_timeout``; a request exceeding ``request_timeout`` answers
-  with a ``timeout`` error frame;
+* **idle timeout** — a silent connection is closed after
+  ``idle_timeout``; a slow request is bounded by its own
+  ``deadline_ms``, which stops its sweep mid-shard and answers
+  ``deadline-exceeded``;
 * **graceful drain** — :meth:`stop` refuses new work (``overloaded``
-  frames), lets in-flight requests finish and flushes their responses
-  before closing connections.
+  frames), lets in-flight requests finish (for at most
+  :data:`DRAIN_TIMEOUT` seconds) and flushes their responses before
+  closing connections.
 
 The engine runs on a single dispatch thread (one
 :class:`~concurrent.futures.ThreadPoolExecutor` worker), which both
 keeps the asyncio loop responsive during sweeps and serializes access
-to the engine.
+to the engine.  :class:`ServerThread` is the one way to run a server:
+it owns the event loop on a background thread, so tests, benchmarks,
+``LocalCluster`` and both serving commands (``repro serve``,
+``repro cluster serve``) start and drain servers the same way.
 
 All bytes on the wire are produced and consumed by
 :mod:`repro.service.protocol`; nothing here encodes frames by hand.
@@ -55,7 +60,6 @@ All bytes on the wire are produced and consumed by
 from __future__ import annotations
 
 import asyncio
-import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +73,14 @@ from .resilience import BadRequest, Deadline, DeadlineExceeded, Overloaded, Requ
 from . import protocol
 
 __all__ = ["ServerConfig", "TcpSearchServer", "ServerThread"]
+
+#: Seconds :meth:`TcpSearchServer.stop` waits for in-flight requests
+#: before it closes their connections anyway.
+DRAIN_TIMEOUT = 10.0
+
+#: The observed sweep-time quantile a request's remaining deadline
+#: budget must cover, at admission and again at dispatch.
+SHED_PERCENTILE = 0.9
 
 
 @dataclass(frozen=True)
@@ -87,38 +99,25 @@ class ServerConfig:
     compares against.
 
     ``adaptive`` turns ``max_inflight`` from a static bound into the
-    *ceiling* of an AIMD limiter that shrinks toward ``min_inflight``
-    when requests miss their deadlines.  ``shed_percentile`` /
-    ``shed_min_samples`` tune deadline-aware admission shedding
-    (``shed_min_samples`` observations warm the tracker before any
-    shedding happens).
+    *ceiling* of an AIMD limiter that shrinks toward one request in
+    flight when requests miss their deadlines, and turns on
+    deadline-aware shedding (:data:`SHED_PERCENTILE`);
+    ``shed_min_samples`` observations warm the service-time tracker
+    before any shedding happens.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     max_inflight: int = 64
     adaptive: bool = True
-    min_inflight: int = 1
-    shed_percentile: float = 0.9
     shed_min_samples: int = 20
     batch_window: float = 0.002
     batch_max: int = 32
     idle_timeout: float | None = None
-    request_timeout: float | None = None
-    drain_timeout: float = 10.0
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
             raise ValueError(f"max_inflight must be positive, got {self.max_inflight}")
-        if not 1 <= self.min_inflight <= self.max_inflight:
-            raise ValueError(
-                f"min_inflight must be in [1, max_inflight], got {self.min_inflight}"
-            )
-        if not 0.0 < self.shed_percentile < 1.0:
-            raise ValueError(
-                f"shed_percentile must be in (0, 1), got {self.shed_percentile}"
-            )
         if self.shed_min_samples < 1:
             raise ValueError(
                 f"shed_min_samples must be positive, got {self.shed_min_samples}"
@@ -198,9 +197,7 @@ class TcpSearchServer:
         # fault-free run is indistinguishable from the static bound.
         self.limiter: AdaptiveLimiter | None = (
             AdaptiveLimiter(
-                initial=self.config.max_inflight,
-                min_limit=self.config.min_inflight,
-                max_limit=self.config.max_inflight,
+                initial=self.config.max_inflight, max_limit=self.config.max_inflight
             )
             if self.config.adaptive
             else None
@@ -273,7 +270,7 @@ class TcpSearchServer:
         New connections are refused and new search frames answered
         with ``overloaded`` the moment draining starts; requests
         already accepted run to completion (bounded by
-        ``drain_timeout``) and their responses are flushed before
+        :data:`DRAIN_TIMEOUT`) and their responses are flushed before
         their connections close.
         """
         self._draining = True
@@ -284,9 +281,7 @@ class TcpSearchServer:
             if self._inflight == 0:
                 self._drained.set()
             try:
-                await asyncio.wait_for(
-                    self._drained.wait(), self.config.drain_timeout
-                )
+                await asyncio.wait_for(self._drained.wait(), DRAIN_TIMEOUT)
             except (asyncio.TimeoutError, TimeoutError):
                 self.obs.log.warning(
                     "net.drain-timeout", inflight=self._inflight
@@ -303,67 +298,6 @@ class TcpSearchServer:
         if self.engine.pool is not None:
             self.engine.pool.close()  # reap the last sweep's workers
         self.obs.log.info("net.stopped", served=self.served)
-
-    def run_blocking(self, ready=None, reload_signal: int | None = None) -> None:
-        """Start and serve until SIGINT/SIGTERM; then drain gracefully.
-
-        Explicit loop signal handlers (not Python's default
-        KeyboardInterrupt) so that graceful drain also runs when the
-        process was started with an inherited SIG_IGN disposition —
-        the fate of every ``cmd &`` child of a non-interactive shell,
-        CI steps included — and when a supervisor sends SIGTERM.
-
-        ``ready`` (if given) is called with this server once the port
-        is bound — the CLI uses it to announce the address.
-
-        ``reload_signal`` (e.g. ``signal.SIGHUP``) arms hot index
-        reload: on that signal the engine's index loader runs off the
-        event loop and the fresh generation swaps in under live
-        traffic.  A failed reload is logged and the old generation
-        keeps serving.
-        """
-
-        async def _main() -> None:
-            await self.start()
-            if ready is not None:
-                ready(self)
-            loop = asyncio.get_running_loop()
-            stopping = loop.create_future()
-
-            def _request_stop() -> None:
-                if not stopping.done():
-                    stopping.set_result(None)
-
-            def _reload_done(future) -> None:
-                exc = future.exception()
-                if exc is not None:
-                    self.obs.log.error("net.reload-failed", error=str(exc))
-
-            def _request_reload() -> None:
-                future = loop.run_in_executor(None, self.engine.reload_index)
-                future.add_done_callback(_reload_done)
-
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(sig, _request_stop)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass  # non-unix loop: fall back to KeyboardInterrupt
-            if reload_signal is not None:
-                try:
-                    loop.add_signal_handler(reload_signal, _request_reload)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
-            try:
-                await stopping
-            except asyncio.CancelledError:
-                pass
-            finally:
-                await self.stop()
-
-        try:
-            asyncio.run(_main())
-        except KeyboardInterrupt:  # pragma: no cover - non-unix fallback
-            pass
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -431,7 +365,7 @@ class TcpSearchServer:
         except (asyncio.TimeoutError, TimeoutError):
             self.obs.log.debug("net.idle-close")
             return None
-        length = protocol.frame_length(header, self.config.max_frame_bytes)
+        length = protocol.frame_length(header)
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
@@ -532,27 +466,20 @@ class TcpSearchServer:
                 raise DeadlineExceeded(
                     f"deadline_ms={options.deadline_ms} already expired at admission"
                 )
-            # Deadline-aware shedding: once warmed up, refuse a budget
-            # the observed p90 says we cannot honour.  A shed at
-            # admission never feeds the limiter — the request did no
-            # work, so it is evidence of the *client's* budget, not of
-            # this server slowing down.  Two deliberate choices keep
-            # the mechanism stable: the refusal is ``Overloaded`` (the
-            # SDK backs off and retries it, so shedding cannot trigger
-            # a retry storm the way an instant terminal error would),
-            # and an *idle* server always admits (the sweep refreshes
-            # the service-time estimate, so a stale, pessimistic p90
-            # can never latch the server into refusing everything).
-            if self.config.adaptive and self._inflight > 0:
-                p90 = self.service_times.percentile(self.config.shed_percentile)
-                remaining = deadline.remaining()
-                if p90 is not None and remaining < p90:
-                    self._m_shed.inc()
-                    raise Overloaded(
-                        f"remaining budget {remaining * 1e3:.1f}ms is below "
-                        f"the observed p{int(self.config.shed_percentile * 100)} "
-                        f"service time {p90 * 1e3:.1f}ms; shed at admission"
-                    )
+            # A shed at admission never feeds the limiter — the
+            # request did no work, so it is evidence of the *client's*
+            # budget, not of this server slowing down.  Two deliberate
+            # choices keep the mechanism stable: the refusal is
+            # ``Overloaded`` (the SDK backs off and retries it, so
+            # shedding cannot trigger a retry storm the way an instant
+            # terminal error would), and an *idle* server always admits
+            # (the sweep refreshes the service-time estimate, so a
+            # stale, pessimistic p90 can never latch the server into
+            # refusing everything).
+            if self._inflight > 0:
+                reason = self._shed_reason(deadline)
+                if reason is not None:
+                    raise Overloaded(f"{reason}; shed at admission")
         assert self._queue is not None and self._loop is not None
         self._inflight += 1
         self._g_inflight.set(self._inflight)
@@ -576,11 +503,31 @@ class TcpSearchServer:
             return self.limiter.limit
         return self.config.max_inflight
 
+    def _shed_reason(self, deadline: Deadline) -> str | None:
+        """Why ``deadline`` cannot cover a sweep, or ``None`` if it can.
+
+        The one deadline-aware shedding rule, applied at admission and
+        again at dispatch: under adaptive admission, once the tracker
+        has warmed up, a remaining budget below the observed
+        :data:`SHED_PERCENTILE` sweep time is shed (and counted).
+        """
+        if self.limiter is None:
+            return None
+        p90 = self.service_times.percentile(SHED_PERCENTILE)
+        remaining = deadline.remaining()
+        if p90 is None or remaining >= p90:
+            return None
+        self._m_shed.inc()
+        return (
+            f"remaining budget {remaining * 1e3:.1f}ms cannot cover the observed "
+            f"p{round(SHED_PERCENTILE * 100)} sweep time {p90 * 1e3:.1f}ms"
+        )
+
     def _observe_outcome(self, frame: dict, seconds: float) -> None:
         """Feed one settled request into the limiter.
 
-        Only genuine latency failures — the server's own timeout or an
-        expired end-to-end budget on *accepted* work — drive the
+        Only genuine latency failures — an expired end-to-end budget on
+        *accepted* work, or a ``timeout`` the engine raised — drive the
         multiplicative decrease; everything else (including non-latency
         errors like ``bad-request``) is an on-time completion.  Service
         times are observed separately in :meth:`_process_group`, sweep
@@ -666,26 +613,16 @@ class TcpSearchServer:
             # miss anyway, so it is answered here too.  Dropping doomed
             # work at dispatch is where deadline-awareness pays: the
             # queue wait is already known exactly, unlike at admission.
-            p90 = (
-                self.service_times.percentile(self.config.shed_percentile)
-                if self.config.adaptive
-                else None
-            )
             live: list[_Pending] = []
             for item in batch:
                 doomed = None
                 if item.deadline is not None:
                     if item.deadline.expired:
                         doomed = "deadline expired while queued for dispatch"
-                    elif p90 is not None and item.deadline.remaining() < p90:
-                        self._m_shed.inc()
-                        doomed = (
-                            f"remaining budget "
-                            f"{item.deadline.remaining() * 1e3:.1f}ms cannot "
-                            f"cover the observed "
-                            f"p{int(self.config.shed_percentile * 100)} sweep "
-                            f"time {p90 * 1e3:.1f}ms; dropped before sweep"
-                        )
+                    else:
+                        reason = self._shed_reason(item.deadline)
+                        if reason is not None:
+                            doomed = f"{reason}; dropped before sweep"
                 if doomed is not None:
                     await self._deliver(
                         [item],
@@ -707,26 +644,9 @@ class TcpSearchServer:
             for item in live:
                 groups.setdefault((item.options, item.trace_id), []).append(item)
             for (options, _trace_id), items in groups.items():
-                future = self._loop.run_in_executor(
+                await self._loop.run_in_executor(
                     self._exec, self._process_group, options, items
                 )
-                if self.config.request_timeout is not None:
-                    try:
-                        await asyncio.wait_for(future, self.config.request_timeout)
-                    except (asyncio.TimeoutError, TimeoutError):
-                        # The sweep thread keeps running; answer now and
-                        # let the done-guard drop its late responses.
-                        frames = [
-                            protocol.error_frame(
-                                item.request_id,
-                                "timeout",
-                                f"request exceeded {self.config.request_timeout:.3g}s",
-                            )
-                            for item in items
-                        ]
-                        await self._deliver(items, frames)
-                else:
-                    await future
 
     async def _fill_batch(self, batch: list[_Pending]) -> None:
         """Add queued requests to ``batch`` until its window closes.
@@ -861,9 +781,11 @@ class TcpSearchServer:
 class ServerThread:
     """Run a :class:`TcpSearchServer` on a background event loop.
 
-    The embedding tests and benchmarks need: ``with
-    ServerThread(engine) as handle:`` gives a bound ``handle.host`` /
-    ``handle.port`` and a server that drains cleanly on exit.
+    The one server lifecycle: ``with ServerThread(engine) as handle:``
+    (or :meth:`start` / :meth:`stop`) gives a bound ``handle.host`` /
+    ``handle.port`` and a server that drains cleanly on exit.  It
+    installs no signal handlers; a serving command waits for its stop
+    signal on the main thread and then calls :meth:`stop`.
     """
 
     def __init__(
@@ -918,7 +840,7 @@ class ServerThread:
         if not self._loop.is_closed():
             future = asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop)
             try:
-                future.result(timeout=self.server.config.drain_timeout + 10)
+                future.result(timeout=DRAIN_TIMEOUT + 10)
             except (TimeoutError, RuntimeError):  # pragma: no cover - defensive
                 pass
             self._loop.call_soon_threadsafe(self._loop.stop)

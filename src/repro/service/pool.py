@@ -55,15 +55,14 @@ class WorkerSpec:
 
     ``kind`` names a :mod:`repro.kernels` backend; ``None`` is the
     process default (``REPRO_KERNEL`` when set, else
-    ``numpy-striped``).  ``elements`` / ``engine`` configure the
-    ``hw-sim`` backend.  The spec — not the kernel — is what crosses
+    ``numpy-striped``).  ``elements`` sizes the ``hw-sim`` backend's
+    array.  The spec — not the kernel — is what crosses
     the process boundary, so device state is built fresh in each
     worker process (one per worker per sweep).
     """
 
     kind: str | None = None
     elements: int = 100
-    engine: str = "emulator"
 
     def __post_init__(self) -> None:
         if self.kind is not None and self.kind not in available_backends():
@@ -90,7 +89,7 @@ class WorkerSpec:
         if name == "hw-sim":
             # A fresh device per worker: accelerator state never
             # crosses the process boundary.
-            return HwSimBackend(elements=self.elements, engine=self.engine)
+            return HwSimBackend(elements=self.elements)
         return get_backend(name)
 
 

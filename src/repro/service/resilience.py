@@ -111,7 +111,12 @@ class Overloaded(ServiceError):
 
 
 class RequestTimeout(ServiceError):
-    """A request exceeded the server's per-request deadline."""
+    """A request ran out of time (wire code ``timeout``).
+
+    The taxonomy's base for time limits.  The TCP server bounds a
+    request only by its own ``deadline_ms`` and answers with the
+    subclass :class:`DeadlineExceeded`.
+    """
 
     code = "timeout"
 
@@ -149,8 +154,8 @@ class DeadlineExceeded(RequestTimeout):
     Subclasses :class:`RequestTimeout` so existing ``except
     RequestTimeout`` handlers keep working, but carries its own wire
     code — a deadline the *client* set expiring is a different signal
-    from the server's static per-request timeout, and circuit breakers
-    and dashboards want to tell them apart.  The same class (and the
+    from a plain ``timeout``, and circuit breakers and dashboards want
+    to tell them apart.  The same class (and the
     same code) surfaces in-process from the engine, over the wire from
     the TCP server, and client-side from an expired local budget.
     """
@@ -767,11 +772,13 @@ def _supervised_entry(tasks: tuple, faults: tuple, conn) -> None:
     a real segfault) reports nothing for the shard in progress and
     ends the group, which the supervisor reads from the exit code.
 
-    A forked worker first drops the signal handling it inherited: a
-    parent running an asyncio loop (``repro serve --tcp``) has Python
-    handlers for SIGINT/SIGTERM and a wake-up fd aimed at the loop's
-    self-pipe, so without the reset a signal sent to the worker would
-    be ignored by it and delivered to the parent's handler instead.
+    A forked worker first drops the signal handling it inherited: the
+    serving commands (``repro serve``, ``repro cluster serve``) install
+    Python handlers for SIGINT/SIGTERM (and the ``--reload-signal``)
+    that only set a flag or start a reload, so without the reset a
+    SIGTERM sent to the worker would not end it.  A parent that runs
+    an asyncio loop on its main thread may also have aimed the wake-up
+    fd at that loop's self-pipe, which the reset detaches.
     """
     for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
         signal.signal(signum, signal.SIG_DFL)

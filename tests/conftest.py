@@ -8,8 +8,9 @@ The strategies encode the repository's input domain:
   mismatch < match, gap < 0) so property tests cover the scheme space
   rather than only the paper's +1/-1/-2.
 
-``ServeProcess`` runs ``repro serve --tcp`` in a child process for the
-command-line serving tests.
+``ServeProcess`` runs ``repro serve --tcp`` (and ``ClusterServeProcess``
+``repro cluster serve``) in a child process for the command-line serving
+tests.
 """
 
 from __future__ import annotations
@@ -97,42 +98,55 @@ class ServeProcess:
     requires exit status 0 and returns the child's merged stdout and
     stderr lines; leaving the block stops it, or on error kills its
     process group (the child leads a session of its own).
+    ``sigint_ignored`` starts the child with SIGINT set to ``SIG_IGN``,
+    as a non-interactive shell starts every ``cmd &``.
     """
 
-    def __init__(self, database, *flags: str) -> None:
-        import repro
+    ready = "listening on"
 
-        src = str(Path(repro.__file__).resolve().parents[1])
-        self.argv = [
-            sys.executable, "-m", "repro", "serve", str(database),
-            "--tcp", "127.0.0.1:0", *flags,
-        ]
-        self.env = {**os.environ, "PYTHONPATH": src}
+    def __init__(self, database, *flags: str, sigint_ignored: bool = False) -> None:
+        self.argv = [sys.executable, "-m", "repro", *self.command(database), *flags]
+        self.sigint_ignored = sigint_ignored
         self.output: list[str] = []
         self.stopped_at: float | None = None
 
+    @staticmethod
+    def command(database) -> list[str]:
+        return ["serve", str(database), "--tcp", "127.0.0.1:0"]
+
     def __enter__(self) -> "ServeProcess":
-        self.proc = subprocess.Popen(
-            self.argv,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=self.env,
-            start_new_session=True,
-        )
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        # An ignored SIGINT survives fork and exec; a handled one does not.
+        previous = signal.getsignal(signal.SIGINT)
+        if self.sigint_ignored:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            self.proc = subprocess.Popen(
+                self.argv,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+                start_new_session=True,
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
         self._lines: queue.Queue = queue.Queue()
         self._pump = threading.Thread(target=self._read, daemon=True)
         self._pump.start()
         try:
-            while not self.output or not self.output[-1].startswith("listening on"):
+            while not self.output or not self.output[-1].startswith(self.ready):
                 line = self._lines.get(timeout=60)
                 assert line is not None, "".join(self.output)
                 self.output.append(line)
         except BaseException:
             self._kill()
             raise
-        self.host, _, port = self.output[-1].split()[-1].rpartition(":")
-        self.port = int(port)
+        if self.ready == "listening on":
+            self.host, _, port = self.output[-1].split()[-1].rpartition(":")
+            self.port = int(port)
         return self
 
     def _read(self) -> None:
@@ -145,7 +159,11 @@ class ServeProcess:
         if self.stopped_at is None:
             self.stopped_at = time.time()
             self.proc.send_signal(signal.SIGINT)
-            assert self.proc.wait(timeout=30) == 0, "".join(self.output)
+            try:
+                assert self.proc.wait(timeout=30) == 0, "".join(self.output)
+            except BaseException:
+                self._kill()  # a child that did not drain must not outlive the test
+                raise
             self.output.extend(iter(lambda: self._lines.get(timeout=10), None))
             self._close()
         return self.output
@@ -167,3 +185,13 @@ class ServeProcess:
             self._kill()
         else:
             self.stop()
+
+
+class ClusterServeProcess(ServeProcess):
+    """``repro cluster serve MANIFEST FLAGS...``, ready on ``cluster ready``."""
+
+    ready = "cluster ready"
+
+    @staticmethod
+    def command(manifest) -> list[str]:
+        return ["cluster", "serve", str(manifest)]

@@ -11,6 +11,7 @@ failure semantics: degraded nodes, expired deadlines, empty spans.
 """
 
 import dataclasses
+import json
 import time
 
 import pytest
@@ -31,6 +32,8 @@ from repro.service.cluster import (
     partition_index,
 )
 from repro.service.resilience import DeadlineExceeded
+
+from conftest import ClusterServeProcess
 
 
 def make_records(n_records, record_bp=120, seed=0, planted=None):
@@ -493,6 +496,32 @@ class TestClusterCLI:
 
         assert main(["cluster", "trace", live_cluster, "t999999"]) == 1
         assert "error not-found" in capsys.readouterr().err
+
+    def test_serve_drains_and_leaves_a_fleet_metrics_dump(self, shared_index, tmp_path):
+        """``cluster partition`` then ``cluster serve --metrics-file``:
+        after SIGINT the dump is the fleet view taken after the drain,
+        one ``node=`` entry per node, with the traffic it served."""
+        from repro.cli import main
+
+        shared_index.save(tmp_path / "db.npz")
+        outdir = tmp_path / "cl"
+        argv = ["cluster", "partition", str(tmp_path / "db.npz"), str(outdir)]
+        assert main([*argv, "--nodes", "2"]) == 0
+        manifest = outdir / "cluster.json"
+        dump = tmp_path / "fleet.json"
+        flags = ("--metrics-file", str(dump), "--metrics-interval", "3600")
+        query = random_dna(32, seed=66)
+        with ClusterServeProcess(manifest, *flags) as served:
+            with ClusterCoordinator(ClusterTopology.load(manifest)) as client:
+                response = client.search(query, QueryOptions(top=5, min_score=1))
+            output = served.stop()
+        assert response.coverage == 1.0
+        assert "cluster drained; served 2 requests\n" in output, "".join(output)
+        snapshot = json.loads(dump.read_text())
+        assert sorted(snapshot["nodes"]) == ["0", "1"]
+        for node in snapshot["nodes"].values():
+            assert node["ok"] is True
+            assert node["scalars"]["repro_net_requests_total"] == 1.0
 
     def test_unreachable_cluster_exits_one_like_health(self, capsys):
         from repro.cli import main

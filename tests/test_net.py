@@ -10,6 +10,7 @@ faults and overload.
 
 import asyncio
 import os
+import signal
 import socket
 import threading
 import time
@@ -533,6 +534,49 @@ class TestServeCommand:
         assert "served 8 requests\n" in output, "".join(output)
         with pytest.raises(ProcessLookupError):
             os.killpg(served.proc.pid, 0)
+
+    def test_reload_signal_swaps_the_generation_and_rankings_hold(
+        self, planted, tmp_path
+    ):
+        """``--reload-signal hup``: SIGHUP reloads the index under the
+        running server, one generation up, and answers stay those of
+        ``scan_database``."""
+        _, records, index = planted
+        path = tmp_path / "db.idx"
+        index.save(path)
+        query = mutate(records[5].sequence[40:100], rate=0.1, seed=1005)
+        options = QueryOptions(top=5, min_score=1)
+        expected = scan_database(query, records, top=5, min_score=1, retrieve=0)
+        with ServeProcess(path, "--reload-signal", "hup") as served:
+            with SearchClient(served.host, served.port) as client:
+                before = client.health()["generation"]
+                assert ranking(client.search(query, options).report.hits) == ranking(
+                    expected.hits
+                )
+                served.proc.send_signal(signal.SIGHUP)
+                deadline = time.monotonic() + 20.0
+                while client.health()["generation"] == before:
+                    assert time.monotonic() < deadline, "SIGHUP reloaded nothing"
+                    time.sleep(0.05)
+                assert client.health()["generation"] == before + 1
+                assert ranking(client.search(query, options).report.hits) == ranking(
+                    expected.hits
+                )
+            output = served.stop()
+        assert "served 2 requests\n" in output, "".join(output)
+
+    def test_drains_on_sigint_when_started_with_sigint_ignored(self, planted, tmp_path):
+        """A ``cmd &`` child of a non-interactive shell starts with SIGINT
+        ignored; the server's own handler still drains it on SIGINT."""
+        query, _, index = planted
+        path = tmp_path / "db.idx"
+        index.save(path)
+        with ServeProcess(path, sigint_ignored=True) as served:
+            with SearchClient(served.host, served.port) as client:
+                response = client.search(query, QueryOptions(top=3))
+            output = served.stop()
+        assert response.report.best().record == "rec5"
+        assert "served 1 requests\n" in output, "".join(output)
 
 
 class TestAdminVerbs:

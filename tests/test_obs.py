@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import threading
+import time
 
 import pytest
 
@@ -229,7 +230,9 @@ class TestPeriodicDumper:
         reg = MetricsRegistry()
         reg.counter("n_total").inc()
         clock = FakeClock()
-        dumper = PeriodicDumper(reg, tmp_path / "m.json", interval=5.0, clock=clock)
+        dumper = PeriodicDumper(
+            reg.snapshot, tmp_path / "m.json", interval=5.0, clock=clock
+        )
         assert dumper.maybe_dump() is True  # first call always writes
         assert dumper.maybe_dump() is False
         clock.advance(4.9)
@@ -242,14 +245,30 @@ class TestPeriodicDumper:
 
     def test_dump_is_atomic(self, tmp_path):
         reg = MetricsRegistry()
-        dumper = PeriodicDumper(reg, tmp_path / "m.json", interval=5.0)
+        dumper = PeriodicDumper(reg.snapshot, tmp_path / "m.json", interval=5.0)
         dumper.dump()
         assert (tmp_path / "m.json").exists()
         assert not (tmp_path / "m.json.tmp").exists()
 
     def test_negative_interval_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            PeriodicDumper(MetricsRegistry(), tmp_path / "m.json", interval=-1)
+            PeriodicDumper(MetricsRegistry().snapshot, tmp_path / "m.json", interval=-1)
+
+    def test_tick_thread_dumps_and_stop_writes_the_final_snapshot(self, tmp_path):
+        reg = MetricsRegistry()
+        counter = reg.counter("n_total")
+        path = tmp_path / "m.json"
+        dumper = PeriodicDumper(reg.snapshot, path, interval=3600).start()
+        deadline = time.monotonic() + 10.0
+        while not path.exists():
+            assert time.monotonic() < deadline, "the tick thread never dumped"
+            time.sleep(0.01)
+        assert json.loads(path.read_text())["counters"]["repro_n_total"] == 0.0
+        counter.inc(3)
+        dumper.stop()
+        assert not dumper._thread.is_alive()
+        assert dumper.dumps == 2  # the first tick, then the final dump
+        assert json.loads(path.read_text())["counters"]["repro_n_total"] == 3.0
 
 
 class TestTracer:

@@ -22,10 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     DEFAULT_OBJECTIVES,
-    FleetDumper,
     MetricsAggregator,
     MetricsRegistry,
     Observability,
+    PeriodicDumper,
     Sample,
     ServiceObjective,
     SloTracker,
@@ -312,8 +312,11 @@ class TestFleetDumper:
     def test_throttled_atomic_dumps(self, tmp_path):
         aggregator = MetricsAggregator.from_registries({"0": _node_registry(7.0)})
         clock = FakeClock()
-        dumper = FleetDumper(
-            aggregator, tmp_path / "fleet.json", interval=5.0, clock=clock
+        dumper = PeriodicDumper(
+            lambda: aggregator.scrape().snapshot(),
+            tmp_path / "fleet.json",
+            interval=5.0,
+            clock=clock,
         )
         assert dumper.maybe_dump() is True
         assert dumper.maybe_dump() is False
@@ -324,10 +327,6 @@ class TestFleetDumper:
         snapshot = json.loads((tmp_path / "fleet.json").read_text())
         assert snapshot["fleet"]["repro_fleet_sustained_cups"] == 7.0
         assert snapshot["nodes"]["0"]["ok"] is True
-
-    def test_negative_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            FleetDumper(MetricsAggregator(), tmp_path / "f.json", interval=-1)
 
 
 # ----------------------------------------------------------------------

@@ -115,6 +115,7 @@ class TestSaveLoad:
         index = DatabaseIndex.build(make_records(), shard_bp=400, source="unit")
         path = tmp_path / "db.idx"
         index.save(path)
+        assert path.read_bytes() == index.to_bytes()  # the one serialiser
         loaded = DatabaseIndex.load(path)
         assert loaded.version == index.version
         assert loaded.source == "unit"
