@@ -4,12 +4,14 @@ Two measurements, one claim: the serving tier keeps earning its
 latency budget while broken things fix themselves.
 
 **Part A — coverage through a kill→respawn cycle.**  A live cluster
-(health monitor heartbeating, supervisor sweeping) serves a steady
-query stream while one node is killed mid-run.  Every answer's
-coverage is recorded against the wall clock, tracing the full arc:
-full coverage → degraded the moment the monitor ejects the dead node
-(fan-outs skip it, no budget burned discovering it) → full coverage
-again once the supervisor respawns it and probation readmits it.
+(health monitor heartbeating into each node's breaker, supervisor
+sweeping) serves a steady query stream while one node is killed
+mid-run.  Every answer's coverage is recorded against the wall clock,
+tracing the full arc: full coverage → degraded once the dead node's
+legs fail and its breaker opens (fan-outs then skip it, no budget
+burned discovering it) → full coverage again once the supervisor
+respawns it and a good probe half-opens its breaker for the trial
+leg that readmits it.
 Reported: seconds from kill to first degraded answer (detection) and
 from kill to coverage restored (recovery).  The run *must* recover —
 a cluster that stays degraded fails the benchmark in any mode.
@@ -40,7 +42,7 @@ import time
 from repro.analysis.report import render_table
 from repro.analysis.results import write_bench_json
 from repro.io.generate import random_dna
-from repro.service import DatabaseIndex, QueryOptions, ServiceError
+from repro.service import CircuitBreaker, DatabaseIndex, QueryOptions, ServiceError
 from repro.service.cache import ResultCache
 from repro.service.client import AsyncSearchClient
 from repro.service.cluster import ClusterSupervisor, LocalCluster
@@ -86,10 +88,13 @@ def run_heal_timeline(
     timeline = []
     with LocalCluster(index, nodes=nodes, mode=mode, batch_window=0.0) as cluster:
         victim = cluster.topology().active_nodes[-1].node_id
-        with cluster.client(gather_timeout=5.0) as client:
-            monitor = client.start_health_monitor(
-                interval=heartbeat, eject_after=2, readmit_after=1
-            )
+        with cluster.client(
+            gather_timeout=5.0,
+            breaker_factory=lambda node_id: CircuitBreaker(
+                failure_threshold=2, name=f"node-{node_id}"
+            ),
+        ) as client:
+            monitor = client.start_health_monitor(interval=heartbeat)
             supervisor = ClusterSupervisor(
                 cluster,
                 coordinators=[client],

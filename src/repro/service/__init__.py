@@ -52,10 +52,14 @@ coordinates returned per record.  This package turns the one-shot
   :func:`~repro.service.cluster.partition_index` splits an index into
   contiguous per-node sub-indexes, a
   :class:`~repro.service.cluster.ClusterCoordinator` scatter-gathers
-  each query over protocol v2 with per-node breakers, replica failover
-  and group-min deadline propagation; the coordinator is the cluster's
-  one client, and it and :class:`LocalCluster` are the deployment
-  surfaces (``repro cluster`` on the CLI).
+  each query over protocol v2 with replica failover and group-min
+  deadline propagation.  Each node has one health verdict, its circuit
+  breaker, fed by its fan-out legs and by the optional
+  :class:`~repro.service.cluster.HealthMonitor` heartbeat; a node whose
+  primary is dead keeps serving through a live replica.  The
+  coordinator is the cluster's one client, and it and
+  :class:`LocalCluster` are the deployment surfaces (``repro cluster``
+  on the CLI).
 
 Stable public surface
 ---------------------

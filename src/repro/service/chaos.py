@@ -19,9 +19,10 @@ engine:
   shard nodes and severs the network to others while queries flow
   through a live 3-node :class:`~repro.service.cluster.LocalCluster`.
 * :func:`run_selfheal_chaos` — a seeded kill takes a node down; the
-  :class:`~repro.service.cluster.healthd.HealthMonitor` must eject it,
-  the :class:`~repro.service.cluster.supervisor.ClusterSupervisor`
-  respawn it and probation readmit it within a heartbeat budget.
+  :class:`~repro.service.cluster.healthd.HealthMonitor` heartbeat must
+  open its breaker, the
+  :class:`~repro.service.cluster.supervisor.ClusterSupervisor` respawn
+  it and a good probe readmit it within a heartbeat budget.
 * :func:`run_ingest_chaos` — a table of disk faults against the WAL
   ingest lifecycle: a crash at every labeled
   :class:`~repro.service.resilience.FaultFS` barrier, torn and short
@@ -132,13 +133,12 @@ CLUSTER_KILLS = 1
 CLUSTER_SPLITS = 4
 
 #: The self-heal incident: requests per phase, failing beats before an
-#: ejection, probation beats before readmission, and the heartbeat
-#: budget for the whole arc (one supervisor sweep plus slack for a
-#: slow respawn probe).
+#: ejection (the node breakers' ``failure_threshold``), and the
+#: heartbeat budget for the whole arc: the ejection, one good probe to
+#: readmit, and slack for a slow respawn probe.
 SELFHEAL_REQUESTS_PER_PHASE = 3
 SELFHEAL_EJECT_AFTER = 2
-SELFHEAL_READMIT_AFTER = 1
-SELFHEAL_HEARTBEAT_BUDGET = SELFHEAL_EJECT_AFTER + SELFHEAL_READMIT_AFTER + 3
+SELFHEAL_HEARTBEAT_BUDGET = SELFHEAL_EJECT_AFTER + 1 + 3
 
 #: Rounds of the limiter's slow-node schedule, and the final stretch
 #: over which convergence is judged.
@@ -887,7 +887,7 @@ def _failover_trace_probe(seed: int, log: ChaosEventLog) -> dict[str, bool]:
         batch_window=0.0,
         obs=Observability.create(),
     ) as cluster:
-        with cluster.client(breaker_factory=None, gather_timeout=15.0) as client:
+        with cluster.client(gather_timeout=15.0) as client:
             cluster.kill_node(victim)
             log.record("trace-probe.kill", node=victim)
             response = client.search(queries[0], OPTIONS)
@@ -994,21 +994,24 @@ def run_selfheal_chaos(seed: int = 0, nodes: int = 3, mode: str = "thread") -> C
     """Kill a seeded node; prove the tier heals itself within budget.
 
     Three phases of requests: ``steady`` (all nodes up), ``down`` (the
-    victim killed and ejected) and ``healed`` (respawned, reattached,
-    readmitted), each judged against the answers for the nodes it
-    leaves reachable.  The heartbeat loop is driven *synchronously*
-    (``monitor.tick()`` between phases) rather than on its background
-    thread, so "within N heartbeats" is a deterministic count, not a
-    race; the supervisor likewise heals via one explicit
-    ``check_once()`` sweep.  The production wiring — the same objects
-    on their daemon threads — is exercised by the integration tests;
-    this harness proves the *logic* heals, with the clock taken out of
-    the verdict.
+    victim killed and its breaker opened) and ``healed`` (respawned,
+    reattached, readmitted), each judged against the answers for the
+    nodes it leaves reachable.  The heartbeat loop is driven
+    *synchronously* (``monitor.tick()`` between phases) rather than on
+    its background thread, so "within N heartbeats" is a deterministic
+    count, not a race; the supervisor likewise heals via one explicit
+    ``check_once()`` sweep.  The node breakers and the SLO tracker run
+    on one clock the runner drives, and a phase never spans a
+    breaker's recovery time, so only a probe can half-open the victim.
+    The production wiring — the same objects on their daemon threads —
+    is exercised by the integration tests; this harness proves the
+    *logic* heals, with the clock taken out of the verdict.
     """
     from ..obs import SloTracker
     from .cluster import LocalCluster
     from .cluster.healthd import HealthMonitor
     from .cluster.supervisor import ClusterSupervisor
+    from .guard import CircuitBreaker
 
     report = ChaosReport("selfheal", seed, ChaosEventLog())
     log = report.log
@@ -1022,29 +1025,33 @@ def run_selfheal_chaos(seed: int = 0, nodes: int = 3, mode: str = "thread") -> C
     # a window-sized jump between phases so the down-phase's bad
     # samples age out before the healed phase is judged — hours of
     # sliding window compressed into deterministic ticks.
-    slo_clock = [0.0]
+    clock = [0.0]
     slo_window = float(2 * SELFHEAL_REQUESTS_PER_PHASE)
+
+    def breaker(node_id: int) -> CircuitBreaker:
+        return CircuitBreaker(
+            failure_threshold=SELFHEAL_EJECT_AFTER,
+            recovery_time=slo_window,
+            name=f"node-{node_id}",
+            clock=lambda: clock[0],
+        )
 
     with LocalCluster(index, nodes=nodes, mode=mode, batch_window=0.0) as cluster:
         slo = SloTracker(
             fast_window=slo_window,
             slow_window=slo_window,
-            clock=lambda: slo_clock[0],
+            clock=lambda: clock[0],
             registry=cluster.obs.registry,
             log=cluster.obs.log,
         )
         with cluster.client(
-            gather_timeout=15.0, breaker_factory=None, slo=slo
+            gather_timeout=15.0, breaker_factory=breaker, slo=slo
         ) as coordinator:
+            # Tick-driven: no thread.
             monitor = HealthMonitor(
-                coordinator.channels,
-                eject_after=SELFHEAL_EJECT_AFTER,
-                readmit_after=SELFHEAL_READMIT_AFTER,
-                jitter=0.0,
-                seed=seed,
-                obs=coordinator.obs,
+                coordinator.channels, jitter=0.0, seed=seed, obs=coordinator.obs
             )
-            coordinator.monitor = monitor  # attached, tick-driven, no thread
+            victim_breaker = coordinator.channels[victim].breaker
             supervisor = ClusterSupervisor(
                 cluster, coordinators=[coordinator], obs=coordinator.obs
             )
@@ -1053,15 +1060,14 @@ def run_selfheal_chaos(seed: int = 0, nodes: int = 3, mode: str = "thread") -> C
                 seed=seed,
                 mode=mode,
                 victim=victim,
-                eject_after=SELFHEAL_EJECT_AFTER,
-                readmit_after=SELFHEAL_READMIT_AFTER,
+                failure_threshold=SELFHEAL_EJECT_AFTER,
                 budget=budget,
             )
 
             def run_phase(phase: str, down: set[int]) -> None:
                 for r in range(SELFHEAL_REQUESTS_PER_PHASE):
                     query = queries[len(report.entries) % len(queries)]
-                    slo_clock[0] += 1.0
+                    clock[0] += 1.0
                     want = expected(query, down)
                     _ask(report, f"{phase} request {r}", coordinator, query,
                          want, phase=phase, request=r)
@@ -1073,13 +1079,16 @@ def run_selfheal_chaos(seed: int = 0, nodes: int = 3, mode: str = "thread") -> C
                 slo_timeline[phase] = firing
                 log.record("slo", phase=phase, firing=list(firing))
 
-            monitor.tick()  # everyone starts as a confirmed member
+            monitor.tick()  # everyone starts confirmed up
             run_phase("steady", set())
 
             cluster.kill_node(victim)
             log.record("node.kill", node=victim)
             ticks_to_eject = 0
-            while monitor.is_up(victim) and ticks_to_eject < budget:
+            while (
+                victim_breaker.state != CircuitBreaker.OPEN
+                and ticks_to_eject < budget
+            ):
                 monitor.tick()
                 ticks_to_eject += 1
             log.record("node.ejected", node=victim, ticks=ticks_to_eject)
@@ -1088,13 +1097,16 @@ def run_selfheal_chaos(seed: int = 0, nodes: int = 3, mode: str = "thread") -> C
             respawned = supervisor.check_once()
             log.record("supervisor.sweep", respawned=respawned)
             ticks_to_recover = ticks_to_eject
-            while not monitor.is_up(victim) and ticks_to_recover < budget + 1:
+            while (
+                victim_breaker.state == CircuitBreaker.OPEN
+                and ticks_to_recover < budget + 1
+            ):
                 monitor.tick()
                 ticks_to_recover += 1
             log.record("node.readmitted", node=victim, ticks=ticks_to_recover)
             # Let the outage's bad samples age out of the window before
             # judging the healed phase — the "clears after heal" half.
-            slo_clock[0] += slo_window
+            clock[0] += slo_window
             run_phase("healed", set())
 
     log.record(

@@ -15,8 +15,10 @@ scatter-gather every query over protocol v2:
   top-k merge, provably bit-identical to the single-node ranking;
 * :mod:`~repro.service.cluster.coordinator` —
   :class:`ClusterCoordinator`, the cluster's one client: threaded
-  fan-out with group-min deadline propagation, per-node circuit
-  breakers, failover to replicas, coverage-degrading partial gathers;
+  fan-out with group-min deadline propagation, one circuit breaker
+  per node as its one health verdict (a leg or probe any serving path
+  answered is a success), failover to replicas, coverage-degrading
+  partial gathers;
   built from a bound topology, a manifest
   (``ClusterCoordinator(ClusterTopology.load(path))``) or bare node
   addresses (:meth:`ClusterCoordinator.from_addresses`); also the
@@ -29,8 +31,9 @@ scatter-gather every query over protocol v2:
   spawn-local topologies (threads for dev/chaos, ``repro serve``
   subprocesses for honest scale-out measurement);
 * :mod:`~repro.service.cluster.healthd` — :class:`HealthMonitor`,
-  the jittered heartbeat loop whose membership lets fan-outs skip
-  down nodes *before* scatter and readmit them after probation;
+  the jittered heartbeat loop that feeds each node's breaker, so
+  fan-outs skip a dead node *before* scatter even while no traffic
+  flows, and a good probe half-opens it for readmission;
 * :mod:`~repro.service.cluster.supervisor` —
   :class:`ClusterSupervisor`, the watchdog that respawns dead nodes
   under capped-exponential backoff and reattaches their channels —
@@ -38,8 +41,8 @@ scatter-gather every query over protocol v2:
   element between queries.
 """
 
-from .coordinator import ClusterCoordinator, NodeChannel, NodeEjected
-from .healthd import HealthMonitor, NodeHealth
+from .coordinator import ClusterCoordinator, NodeChannel
+from .healthd import HealthMonitor
 from .local import LocalCluster
 from .merge import NodeAnswer, merge_node_responses
 from .supervisor import ClusterSupervisor
@@ -53,8 +56,6 @@ __all__ = [
     "LocalCluster",
     "NodeAnswer",
     "NodeChannel",
-    "NodeEjected",
-    "NodeHealth",
     "NodeSpec",
     "merge_node_responses",
     "partition_index",

@@ -5,11 +5,13 @@ program of the paper's multi-board setup, which sends the query to
 every board and reduces the few-byte answers.  It owns a live channel
 per non-empty topology node — a
 :class:`~repro.service.client.SearchClient` to the node's primary
-address, optional replica clients, and a per-node
-:class:`~repro.service.guard.CircuitBreaker` — and turns one logical
-search into one fan-out over protocol v2:
+address, optional replica clients, and the node's
+:class:`~repro.service.guard.CircuitBreaker`, its one health verdict —
+and turns one logical search into one fan-out over protocol v2:
 
-* **scatter** — every non-empty node gets the same request (same
+* **gate** — a node whose breaker is open is refused before the
+  scatter, at no cost in budget or threads (its span degrades);
+* **scatter** — every other node gets the same request (same
   options, same remaining ``deadline_ms``: the group-min budget is
   computed once at fan-out, so no shard is granted more time than the
   request has left);
@@ -23,14 +25,22 @@ any node is the *query's* fault and is raised as-is (every node would
 say the same); transport failures, breaker-open fast-fails and
 deadline expiries degrade coverage by exactly the node's span.
 Replicas serve as straight failover when the primary's transport is
-down.
+down, so a node with a live replica keeps serving: its breaker counts
+only a leg on which every serving path failed.  A
+:class:`~repro.service.cluster.healthd.HealthMonitor`, when started,
+feeds the same breakers from heartbeat probes.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from typing import Callable, Sequence
 
 import dataclasses
@@ -48,23 +58,13 @@ from ...obs import (
 from .. import QueryOptions, resolve_query_options
 from ..client import SearchClient
 from ..engine import SearchResponse
-from ..guard import CircuitBreaker
+from ..guard import CircuitBreaker, CircuitOpen
 from ..resilience import BadRequest, Deadline, DeadlineExceeded, RetryPolicy
 from .healthd import HealthMonitor
 from .merge import NodeAnswer, merge_node_responses
 from .topology import ClusterTopology, NodeSpec
 
-__all__ = ["ClusterCoordinator", "NodeChannel", "NodeEjected", "default_breaker"]
-
-
-class NodeEjected(ConnectionError):
-    """A fan-out skipped this node: the health monitor holds it down.
-
-    Subclasses :class:`ConnectionError` so everything that degrades on
-    transport failure degrades on an ejection too — the node's span is
-    simply not swept, without spending any of the request's budget
-    discovering what the heartbeat already knew.
-    """
+__all__ = ["ClusterCoordinator", "NodeChannel", "default_breaker"]
 
 #: Failures that degrade coverage instead of failing the query: the
 #: node (or the path to it) is unhealthy, the query itself is fine.
@@ -72,7 +72,12 @@ _DEGRADABLE = (ConnectionError, OSError, EOFError, TimeoutError, DeadlineExceede
 
 
 def default_breaker(node_id: int) -> CircuitBreaker:
-    """The per-node breaker: open after 3 transport-class failures, for 1 s."""
+    """The per-node breaker: open after 3 failed legs or probes, for 1 s.
+
+    It is not bound to the coordinator's registry: ``breaker_state`` is
+    one gauge per registry, so node breakers would overwrite each
+    other's state there.  ``cluster_node_up_<id>`` is the per-node view.
+    """
     return CircuitBreaker(
         failure_threshold=3, recovery_time=1.0, name=f"node-{node_id}"
     )
@@ -81,12 +86,13 @@ def default_breaker(node_id: int) -> CircuitBreaker:
 class NodeChannel:
     """One node's client stack: primary, replicas, breaker.
 
-    The breaker wraps the whole channel (not each socket): what the
-    coordinator needs to know is "can this *node* answer", and the
-    fastest way to stop hammering a dead one is to fail fast at the
-    channel. Replica clients share the breaker's verdict — they serve
-    the same span, but a primary that is down says nothing about its
-    replicas, so only the primary's transport failures feed it.
+    The breaker judges the whole node, not a socket: what the
+    coordinator needs to know is "can this *node* answer".  A leg
+    answered by the primary or by a replica is a success; only a leg on
+    which every serving path failed is a failure, recorded once after
+    failover.  :meth:`ping` tries the same paths in the same order.
+    The coordinator gates legs on the breaker before scatter; the
+    channel only records their outcomes.
     """
 
     def __init__(
@@ -110,17 +116,19 @@ class NodeChannel:
             client_factory(address, retry=retry, timeout=timeout, obs=obs)
             for address in spec.replicas
         ]
-        self._replica_rr = 0
-        self._lock = threading.Lock()
+
+    @property
+    def paths(self) -> tuple[SearchClient, ...]:
+        """The node's serving paths in failover order: primary, replicas."""
+        return (self.primary, *self.replicas)
 
     def reattach(self, address: str) -> None:
         """Point the primary at a fresh address (a respawned node).
 
-        A respawned node almost always binds a new port, so healing is
-        a channel operation, not just a membership flip: swap in a new
-        primary client, close the old one, and close the breaker —
-        failure history from the dead incarnation says nothing about
-        the new process.
+        A respawned node almost always binds a new port, so healing
+        swaps in a new primary client and closes the old one.  The
+        breaker is left alone: the respawned node keeps its probation,
+        and the next good probe or half-open trial readmits it.
         """
         old = self.primary
         self.spec = dataclasses.replace(self.spec, address=address)
@@ -129,19 +137,9 @@ class NodeChannel:
             old.close()
         except Exception:  # noqa: BLE001 - the old stack is already dead
             pass
-        if self.breaker is not None:
-            self.breaker.record_success()
         self.obs.log.info(
             "cluster.reattached", node=self.spec.node_id, address=address
         )
-
-    def _next_replica(self) -> SearchClient | None:
-        with self._lock:
-            if not self.replicas:
-                return None
-            client = self.replicas[self._replica_rr % len(self.replicas)]
-            self._replica_rr += 1
-            return client
 
     def search(
         self,
@@ -151,44 +149,44 @@ class NodeChannel:
         parent_span: str | None = None,
         events: list[tuple[str, dict]] | None = None,
     ) -> SearchResponse:
-        """One search against this node; fail over to a replica.
+        """One leg against this node: each serving path in turn.
 
+        A transport-class failure fails over to the next path; the
+        leg's one outcome then feeds the breaker.
         ``trace_id``/``parent_span`` are injected on the wire so the
         node's span tree joins the coordinator's trace.  ``events`` (a
-        caller-owned list) collects a failover with an ``at`` offset
+        caller-owned list) collects each failover with an ``at`` offset
         relative to leg start, so the coordinator can pin it to the
         correct node span.
         """
-        if self.breaker is not None:
-            self.breaker.allow()
         t0 = time.monotonic()
+        paths = self.paths
         try:
-            response = self.primary.search(
-                query, options, trace_id=trace_id, parent_span=parent_span
-            )
-        except _DEGRADABLE as exc:
-            if self.breaker is not None:
-                self.breaker.record_failure(exc)
-            replica = self._next_replica()
-            if replica is None:
-                raise
-            self.obs.log.warning(
-                "cluster.failover", node=self.spec.node_id, error=type(exc).__name__
-            )
-            if events is not None:
-                events.append(
-                    (
-                        "failover",
-                        {
-                            "node": self.spec.node_id,
-                            "error": type(exc).__name__,
-                            "at": time.monotonic() - t0,
-                        },
+            for n, client in enumerate(paths, 1):
+                try:
+                    response = client.search(
+                        query, options, trace_id=trace_id, parent_span=parent_span
                     )
-                )
-            return replica.search(
-                query, options, trace_id=trace_id, parent_span=parent_span
-            )
+                    break
+                except _DEGRADABLE as exc:
+                    if n == len(paths):
+                        raise
+                    self.obs.log.warning(
+                        "cluster.failover",
+                        node=self.spec.node_id,
+                        error=type(exc).__name__,
+                    )
+                    if events is not None:
+                        events.append(
+                            (
+                                "failover",
+                                {
+                                    "node": self.spec.node_id,
+                                    "error": type(exc).__name__,
+                                    "at": time.monotonic() - t0,
+                                },
+                            )
+                        )
         except BaseException as exc:
             if self.breaker is not None:
                 self.breaker.record_failure(exc)
@@ -198,10 +196,14 @@ class NodeChannel:
         return response
 
     def ping(self) -> bool:
-        try:
-            return self.primary.ping()
-        except Exception:  # noqa: BLE001 - health probe, any failure is "down"
-            return False
+        """Whether any serving path answers, tried in failover order."""
+        for client in self.paths:
+            try:
+                if client.ping():
+                    return True
+            except Exception:  # noqa: BLE001 - health probe, any failure is "down"
+                pass
+        return False
 
     def close(self) -> None:
         self.primary.close()
@@ -223,10 +225,12 @@ class ClusterCoordinator:
         swaps in fault-injecting clients here.  Defaults to
         ``SearchClient`` itself.
     breaker_factory:
-        Per-node breaker builder (``node_id -> CircuitBreaker``);
+        Per-node breaker builder (``node_id -> CircuitBreaker``): the
+        node's one health verdict, fed by its legs and, once
+        :meth:`start_health_monitor` runs, by heartbeat probes.
         ``None`` disables breaking.  The default,
         :func:`default_breaker`, trips a node open after 3 consecutive
-        transport-class failures for 1 s.
+        failed legs or probes for 1 s.
     timeout:
         Socket timeout forwarded to every node client.  Node clients
         never retry: the coordinator's own degradation semantics (drop
@@ -276,7 +280,7 @@ class ClusterCoordinator:
             max_workers=max(2 * len(self.channels), 1),
             thread_name_prefix="repro-cluster",
         )
-        #: Optional heartbeat membership; see :meth:`start_health_monitor`.
+        #: Optional heartbeat; see :meth:`start_health_monitor`.
         self.monitor: HealthMonitor | None = None
         #: Optional SLO tracking: when set, every :meth:`search` outcome
         #: (ok/latency/coverage) feeds the tracker's burn-rate windows.
@@ -310,7 +314,7 @@ class ClusterCoordinator:
         }
         self._m_skipped = registry.counter(
             "cluster_skipped_down_total",
-            "Fan-out legs skipped because the health monitor held the node down",
+            "Fan-out legs refused because the node's breaker was open",
         )
 
     @classmethod
@@ -346,10 +350,10 @@ class ClusterCoordinator:
     def start_health_monitor(self, **kwargs) -> HealthMonitor:
         """Attach and start a :class:`HealthMonitor` over this coordinator.
 
-        Once running, every fan-out consults the monitor's membership:
-        a node it holds down is skipped *before* scatter (its span
-        degrades immediately, costing none of the request's budget)
-        and readmitted the moment probation probes succeed.  Keyword
+        Once running, the heartbeat feeds every node's breaker: failed
+        probes open it while no traffic flows, so fan-outs skip the
+        node *before* scatter, and a good probe half-opens it, so the
+        next leg is the trial that readmits the node.  Keyword
         arguments go to :class:`HealthMonitor`; calling twice returns
         the existing monitor.
         """
@@ -375,11 +379,14 @@ class ClusterCoordinator:
         trace_id: str | None = None,
         parent_span: str | None = None,
     ) -> list[NodeAnswer]:
-        """Scatter to every channel; gather inside the budget.
+        """Gate, scatter to every admitted channel; gather inside the budget.
 
-        The per-node ``deadline_ms`` is the group minimum by
-        construction: it is computed *once* here from the remaining
-        budget and every node receives the same number.
+        The breaker gate runs once per node, before the scatter: an
+        open breaker degrades the node's span up front instead of
+        spending budget rediscovering what it already knows.  The
+        per-node ``deadline_ms`` is the group minimum by construction:
+        it is computed *once* here from the remaining budget and every
+        node receives the same number.
         """
         budget = (
             deadline.remaining() if deadline is not None else self.gather_timeout
@@ -393,23 +400,21 @@ class ClusterCoordinator:
         answers: list[NodeAnswer] = []
         leg_events: dict[int, list[tuple[str, dict]]] = {}
         for node_id, channel in self.channels.items():
-            if self.monitor is not None and not self.monitor.is_up(node_id):
-                # The heartbeat already knows this node is down: degrade
-                # its span up front instead of spending gather budget
-                # rediscovering the fact.
-                self._m_skipped.inc()
-                answers.append(
-                    NodeAnswer(
-                        node_id=node_id,
-                        response=None,
-                        error=NodeEjected(
-                            f"node {node_id} held down by the health monitor"
-                        ),
-                        seconds=0.0,
-                        events=(("ejected", {"reason": "health-monitor"}),),
+            if channel.breaker is not None:
+                try:
+                    channel.breaker.allow()
+                except CircuitOpen as exc:
+                    self._m_skipped.inc()
+                    answers.append(
+                        NodeAnswer(
+                            node_id=node_id,
+                            response=None,
+                            error=exc,
+                            seconds=0.0,
+                            events=(("ejected", {"reason": exc.code}),),
+                        )
                     )
-                )
-                continue
+                    continue
             started[node_id] = time.monotonic()
             leg_events[node_id] = []
             futures[
@@ -439,7 +444,7 @@ class ClusterCoordinator:
                     response = future.result()
                 except BadRequest:
                     for open_future in pending:
-                        open_future.cancel()
+                        self._withdraw(open_future, futures[open_future])
                     raise
                 except Exception as exc:  # noqa: BLE001 - degrade, never fail the query
                     answers.append(
@@ -475,7 +480,7 @@ class ClusterCoordinator:
             # Out of budget: abandon, degrade. The worker thread will
             # finish (or fail) in the background and be discarded.
             node_id = futures[future]
-            future.cancel()
+            self._withdraw(future, node_id)
             seconds = time.monotonic() - started[node_id]
             answers.append(
                 NodeAnswer(
@@ -490,6 +495,17 @@ class ClusterCoordinator:
             )
             self.obs.log.warning("cluster.node-timeout", node=node_id)
         return answers
+
+    def _withdraw(self, future: Future, node_id: int) -> None:
+        """Cancel a leg; one never sent hands back its breaker admission.
+
+        A leg that already runs finishes in the background and records
+        its own outcome; one cancelled before it was sent says nothing
+        about the node.
+        """
+        breaker = self.channels[node_id].breaker
+        if future.cancel() and breaker is not None:
+            breaker.record_failure(CancelledError())
 
     def search(
         self, query: str, options: QueryOptions | None = None
@@ -669,6 +685,10 @@ class ClusterCoordinator:
     def health(self) -> dict[str, object]:
         """Cluster liveness: ping every channel, report per-node state.
 
+        A node is ``up`` when any of its serving paths answers (the
+        same paths, in the same order, a leg would use); ``breaker`` is
+        the node's verdict for fan-outs.
+
         ``status`` is the operator-facing verdict: ``"ok"`` only when
         every span can answer, ``"degraded"`` the moment any span is
         down (partial coverage is a real outage for whoever lives in
@@ -685,9 +705,6 @@ class ClusterCoordinator:
             up += bool(alive)
             nodes[str(node_id)] = {
                 "up": alive,
-                "member": (
-                    self.monitor.is_up(node_id) if self.monitor is not None else None
-                ),
                 "address": channel.spec.address,
                 "records": channel.spec.records,
                 "breaker": channel.breaker.state if channel.breaker else "none",

@@ -1,86 +1,46 @@
-"""Heartbeat failure detection: membership the coordinator can trust.
+"""Heartbeat failure detection: the probes that feed each node's breaker.
 
-The coordinator (PR 6) only learns a node is dead by burning a slice
-of a live query's deadline on it; the paper's reconfigurable array
-does better — a bad processing element is detected by the fabric and
-routed around *before* the next wave starts.  :class:`HealthMonitor`
-is that detector for the serving tier: a background loop heartbeats
-every :class:`~repro.service.cluster.coordinator.NodeChannel` on a
-jittered interval and maintains a **membership** set the coordinator
-consults at fan-out, so a down node is skipped before scatter instead
-of discovered per-request.
+A coordinator without a heartbeat only learns a node is dead by
+burning a slice of a live query's deadline on it; the paper's
+reconfigurable array does better — a bad processing element is
+detected by the fabric and routed around *before* the next wave
+starts.  :class:`HealthMonitor` is that detector for the serving tier:
+a background loop probes every
+:class:`~repro.service.cluster.coordinator.NodeChannel` on a jittered
+interval and feeds each outcome into the channel's
+:class:`~repro.service.guard.CircuitBreaker`, the node's one health
+verdict (:meth:`CircuitBreaker.record_probe`):
 
-State machine, per node:
+* a failed probe is a failure — ``failure_threshold`` of them in a
+  row open the breaker while no traffic flows, so fan-outs skip the
+  node before scatter;
+* a good probe half-opens an open breaker — the node has answered, so
+  its next leg is the trial that closes or re-opens it — and leaves a
+  closed breaker's failure streak alone, so a node that answers pings
+  but fails its searches still trips.
 
-* **up** — the steady state.  Every heartbeat pings the channel;
-  ``eject_after`` *consecutive* failed probes eject the node (it
-  leaves the membership, fan-outs skip it, its span degrades
-  coverage).
-* **down** — probation.  Heartbeats keep probing (the half-open
-  analogue of the circuit breaker): ``readmit_after`` consecutive
-  successful probes readmit the node, and its channel breaker is
-  reset so the first real query is not short-circuited by stale
-  failure history.
-
-Probes use :meth:`NodeChannel.ping`, which never raises — any fault
-is simply a failed probe.  The heartbeat interval is jittered by a
-seeded RNG so a fleet of monitors does not synchronize its probe
-bursts against the same node.
-
-All transitions are metered: ``healthd_nodes_up`` (gauge),
-``healthd_ejections_total`` / ``healthd_readmissions_total``
-(counters), ``healthd_probes_total``, and a
-``healthd_recovery_seconds`` histogram measuring ejection-to-
-readmission time — the serving tier's time-to-recovery.
+The monitor keeps no per-node state of its own.  Probes use
+:meth:`NodeChannel.ping`, which tries the node's serving paths in
+failover order and never raises, so a node with a live replica stays
+up.  The heartbeat interval is jittered by a seeded RNG so a fleet of
+monitors does not synchronize its probe bursts against the same node;
+probes are counted in ``healthd_probes_total``.
 
 The loop is a daemon thread (:meth:`start` / :meth:`stop`), but every
 piece of logic lives in :meth:`tick` so tests drive the monitor
-synchronously with a fake clock and fake channels — determinism
-first, exactly like the chaos harness.
+synchronously with fake channels — determinism first, exactly like
+the chaos harness.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ...obs import NULL_OBS, Observability
 
-__all__ = ["HealthMonitor", "NodeHealth"]
-
-
-class NodeHealth:
-    """One node's view from the monitor: state + streak counters."""
-
-    __slots__ = (
-        "node_id",
-        "up",
-        "consecutive_failures",
-        "consecutive_successes",
-        "down_since",
-        "ejections",
-        "readmissions",
-    )
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-        self.up = True
-        self.consecutive_failures = 0
-        self.consecutive_successes = 0
-        self.down_since: float | None = None
-        self.ejections = 0
-        self.readmissions = 0
-
-    def describe(self) -> dict[str, object]:
-        return {
-            "up": self.up,
-            "consecutive_failures": self.consecutive_failures,
-            "consecutive_successes": self.consecutive_successes,
-            "ejections": self.ejections,
-            "readmissions": self.readmissions,
-        }
+__all__ = ["HealthMonitor"]
 
 
 class HealthMonitor:
@@ -90,26 +50,17 @@ class HealthMonitor:
     ----------
     channels:
         ``node_id -> channel`` mapping; each channel needs a
-        non-raising ``ping() -> bool`` and (optionally) a ``breaker``
-        attribute to reset on readmission.  The coordinator passes its
-        live ``channels`` dict, so a reattached channel (new address
-        after a respawn) is probed without re-registration.
+        non-raising ``ping() -> bool`` and a ``breaker`` to feed.  The
+        coordinator passes its live ``channels`` dict, so a reattached
+        channel (new address after a respawn) is probed without
+        re-registration.
     interval:
         Nominal seconds between heartbeats.
     jitter:
         Fraction of ``interval`` the seeded RNG may add or subtract
         per beat (``0.2`` → each beat lands within ±20%).
-    eject_after:
-        Consecutive failed probes before an up node is ejected.
-    readmit_after:
-        Consecutive successful probation probes before a down node is
-        readmitted.
-    on_transition:
-        Optional ``(node_id, up) -> None`` hook fired after every
-        membership change (outside the lock).
-    clock / seed:
-        Injectable monotonic clock and jitter seed, for deterministic
-        tests.
+    seed:
+        Jitter seed, for deterministic tests.
     """
 
     def __init__(
@@ -117,10 +68,6 @@ class HealthMonitor:
         channels: Mapping[int, object],
         interval: float = 0.5,
         jitter: float = 0.2,
-        eject_after: int = 3,
-        readmit_after: int = 1,
-        on_transition: Callable[[int, bool], None] | None = None,
-        clock: Callable[[], float] = time.monotonic,
         seed: int = 0,
         obs: Observability | None = None,
     ) -> None:
@@ -128,149 +75,40 @@ class HealthMonitor:
             raise ValueError(f"interval must be positive, got {interval}")
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be within [0, 1), got {jitter}")
-        if eject_after < 1:
-            raise ValueError(f"eject_after must be positive, got {eject_after}")
-        if readmit_after < 1:
-            raise ValueError(f"readmit_after must be positive, got {readmit_after}")
+        unguarded = sorted(
+            node_id
+            for node_id, channel in channels.items()
+            if getattr(channel, "breaker", None) is None
+        )
+        if unguarded:
+            raise ValueError(
+                f"nodes {unguarded} have no breaker for the heartbeat to feed"
+            )
         self.channels = channels
         self.interval = interval
         self.jitter = jitter
-        self.eject_after = eject_after
-        self.readmit_after = readmit_after
-        self.on_transition = on_transition
-        self._clock = clock
         self._rng = random.Random(f"healthd:{seed}")
         self.obs = obs if obs is not None else NULL_OBS
-        self._lock = threading.Lock()
-        self._health: dict[int, NodeHealth] = {
-            node_id: NodeHealth(node_id) for node_id in channels
-        }
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self.ticks = 0
-        registry = self.obs.registry
-        self._g_up = registry.gauge(
-            "healthd_nodes_up", "Nodes currently in the health monitor's membership"
-        )
-        self._g_node_up = {
-            node_id: registry.gauge(
-                f"healthd_node_up_{node_id}",
-                f"Node {node_id} membership per the health monitor (1/0)",
-            )
-            for node_id in channels
-        }
-        self._m_probes = registry.counter(
+        self._m_probes = self.obs.registry.counter(
             "healthd_probes_total", "Heartbeat probes issued"
         )
-        self._m_ejections = registry.counter(
-            "healthd_ejections_total", "Nodes ejected after consecutive probe failures"
-        )
-        self._m_readmissions = registry.counter(
-            "healthd_readmissions_total", "Nodes readmitted after probation probes"
-        )
-        self._h_recovery = registry.histogram(
-            "healthd_recovery_seconds", "Ejection-to-readmission time per incident"
-        )
-        self._g_up.set(len(self._health))
-        for gauge in self._g_node_up.values():
-            gauge.set(1.0)
 
-    # ------------------------------------------------------------------
-    # Membership queries (what the coordinator consults at fan-out)
-    # ------------------------------------------------------------------
-    def is_up(self, node_id: int) -> bool:
-        """Membership verdict; nodes the monitor never met count as up."""
-        with self._lock:
-            health = self._health.get(node_id)
-            return True if health is None else health.up
-
-    @property
-    def up_nodes(self) -> set[int]:
-        with self._lock:
-            return {nid for nid, h in self._health.items() if h.up}
-
-    @property
-    def down_nodes(self) -> set[int]:
-        with self._lock:
-            return {nid for nid, h in self._health.items() if not h.up}
-
-    # ------------------------------------------------------------------
-    # The heartbeat itself
-    # ------------------------------------------------------------------
-    def tick(self) -> dict[int, bool]:
-        """Probe every channel once; apply transitions; return membership.
+    def tick(self) -> dict[int, str]:
+        """Probe every channel once and feed its breaker; return the states.
 
         This is the whole monitor — the background thread just calls
-        it on a jittered cadence.  Probes run outside the lock (a ping
-        is network IO); transitions are applied under it.
+        it on a jittered cadence.
         """
-        transitions: list[tuple[int, bool]] = []
+        states = {}
         for node_id, channel in list(self.channels.items()):
-            alive = bool(channel.ping())
+            channel.breaker.record_probe(bool(channel.ping()))
             self._m_probes.inc()
-            with self._lock:
-                health = self._health.get(node_id)
-                if health is None:  # channel added after construction
-                    health = self._health[node_id] = NodeHealth(node_id)
-                    self._g_node_up.setdefault(
-                        node_id,
-                        self.obs.registry.gauge(
-                            f"healthd_node_up_{node_id}",
-                            f"Node {node_id} membership per the health monitor (1/0)",
-                        ),
-                    )
-                if health.up:
-                    if alive:
-                        health.consecutive_failures = 0
-                    else:
-                        health.consecutive_failures += 1
-                        if health.consecutive_failures >= self.eject_after:
-                            health.up = False
-                            health.down_since = self._clock()
-                            health.consecutive_successes = 0
-                            health.ejections += 1
-                            transitions.append((node_id, False))
-                else:
-                    if alive:
-                        health.consecutive_successes += 1
-                        if health.consecutive_successes >= self.readmit_after:
-                            health.up = True
-                            health.consecutive_failures = 0
-                            health.readmissions += 1
-                            if health.down_since is not None:
-                                self._h_recovery.observe(
-                                    self._clock() - health.down_since
-                                )
-                            health.down_since = None
-                            transitions.append((node_id, True))
-                    else:
-                        health.consecutive_successes = 0
+            states[node_id] = channel.breaker.state
         self.ticks += 1
-        for node_id, up in transitions:
-            self._apply_transition(node_id, up)
-        with self._lock:
-            membership = {nid: h.up for nid, h in self._health.items()}
-        self._g_up.set(sum(membership.values()))
-        return membership
-
-    def _apply_transition(self, node_id: int, up: bool) -> None:
-        gauge = self._g_node_up.get(node_id)
-        if gauge is not None:
-            gauge.set(1.0 if up else 0.0)
-        if up:
-            self._m_readmissions.inc()
-            self.obs.log.info("healthd.readmitted", node=node_id)
-            # Stale failure history must not short-circuit the first
-            # real query after a heal: close the channel's breaker.
-            channel = self.channels.get(node_id)
-            breaker = getattr(channel, "breaker", None)
-            if breaker is not None:
-                breaker.record_success()
-        else:
-            self._m_ejections.inc()
-            self.obs.log.warning("healthd.ejected", node=node_id)
-        if self.on_transition is not None:
-            self.on_transition(node_id, up)
+        return states
 
     # ------------------------------------------------------------------
     # Background loop
@@ -298,7 +136,7 @@ class HealthMonitor:
         )
         self._thread.start()
         self.obs.log.info(
-            "healthd.started", nodes=len(self._health), interval=self.interval
+            "healthd.started", nodes=len(self.channels), interval=self.interval
         )
         return self
 
@@ -314,17 +152,10 @@ class HealthMonitor:
         return self._thread is not None and self._thread.is_alive()
 
     def describe(self) -> dict[str, object]:
-        with self._lock:
-            nodes = {str(nid): h.describe() for nid, h in self._health.items()}
-            up = sum(1 for h in self._health.values() if h.up)
         return {
             "running": self.running,
             "interval": self.interval,
-            "eject_after": self.eject_after,
-            "readmit_after": self.readmit_after,
             "ticks": self.ticks,
-            "nodes_up": up,
-            "nodes": nodes,
         }
 
     def __enter__(self) -> "HealthMonitor":

@@ -16,8 +16,9 @@ left half-dark until a technician walks over.  The
   loop, and two runs with the same seed back off identically;
 * a successful respawn almost always lands on a **new port**, so the
   supervisor immediately *reattaches* every registered coordinator's
-  channel to the new address (and the channel resets its breaker) —
-  the node returns to full fan-out coverage without operator action;
+  channel to the new address; the node keeps its breaker's probation,
+  and the next good heartbeat probe or half-open trial returns it to
+  full fan-out coverage without operator action;
 * a node that exhausts ``policy.retries`` consecutive failed respawns
   is abandoned (logged, counted) until :meth:`revive` clears it —
   crash-looping hardware needs a human, and a supervisor that

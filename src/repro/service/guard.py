@@ -9,8 +9,10 @@ holds the guard-rail machinery the request path threads through:
   taxonomy.  A backend that keeps failing stops absorbing retries:
   after ``failure_threshold`` consecutive countable failures the
   breaker opens and callers fail fast with :class:`CircuitOpen`; after
-  ``recovery_time`` it half-opens and lets ``half_open_max`` probes
-  through, closing again on the first success.
+  ``recovery_time`` (or at once, when a heartbeat probe gets an
+  answer) it half-opens and lets ``half_open_max`` trial calls
+  through, closing again on the first success.  It is also the one
+  health verdict per cluster node.
 * :class:`AdaptiveLimiter` — an AIMD concurrency limit for the TCP
   front-end: on-time completions grow the admission limit additively
   (one extra slot per window of completions), deadline misses and
@@ -112,10 +114,13 @@ class CircuitBreaker:
     * **open** — :meth:`allow` raises :class:`CircuitOpen` without
       touching the network, until ``recovery_time`` seconds have
       passed since the trip.
-    * **half-open** — up to ``half_open_max`` concurrent probe
-      requests are admitted; the first success closes the breaker and
+    * **half-open** — up to ``half_open_max`` concurrent trial
+      calls are admitted; the first success closes the breaker and
       resets the failure count, any failure re-opens it (and restarts
-      the recovery clock).
+      the recovery clock).  An outcome that says nothing about the
+      endpoint (an uncountable error) hands its trial slot back.
+
+    A heartbeat feeds the same verdict through :meth:`record_probe`.
 
     ``clock`` is injectable for deterministic tests.  All transitions
     are metered on ``obs``: ``breaker_state`` gauge (0 closed,
@@ -192,10 +197,13 @@ class CircuitBreaker:
             self._state == self.OPEN
             and self._clock() - self._opened_at >= self.recovery_time
         ):
-            self._state = self.HALF_OPEN
-            self._probes = 0
-            self._g_state.set(self._STATE_VALUE[self._state])
+            self._half_open()
         return self._state
+
+    def _half_open(self) -> None:
+        self._state = self.HALF_OPEN
+        self._probes = 0
+        self._g_state.set(self._STATE_VALUE[self._state])
 
     def allow(self) -> None:
         """Admit one call, or raise :class:`CircuitOpen` immediately."""
@@ -223,8 +231,16 @@ class CircuitBreaker:
             self._g_state.set(self._STATE_VALUE[self._state])
 
     def record_failure(self, error: BaseException | None = None) -> None:
-        """Record one countable failure (uncountable errors are ignored)."""
+        """Record one countable failure.
+
+        An uncountable error leaves the failure streak alone; on a
+        half-open breaker it hands its trial slot back, so a trial that
+        proved nothing cannot wedge the breaker half-open.
+        """
         if error is not None and not self.counts_as_failure(error):
+            with self._lock:
+                if self._state == self.HALF_OPEN:
+                    self._probes = max(self._probes - 1, 0)
             return
         with self._lock:
             state = self._peek_state()
@@ -242,6 +258,23 @@ class CircuitBreaker:
                 self._state = self.OPEN
                 self._opened_at = self._clock()
                 self._g_state.set(self._STATE_VALUE[self._state])
+
+    def record_probe(self, answered: bool) -> None:
+        """Feed one heartbeat probe's outcome into the verdict.
+
+        A probe nobody answered is a countable failure.  A probe that
+        got an answer half-opens an open breaker at once — the endpoint
+        is back, so its next call is the trial that closes or re-opens
+        it — and otherwise changes nothing: answering a ping does not
+        prove the endpoint serves calls, so it never clears a closed
+        breaker's failure streak.
+        """
+        if not answered:
+            self.record_failure()
+            return
+        with self._lock:
+            if self._peek_state() == self.OPEN:
+                self._half_open()
 
     def describe(self) -> dict[str, object]:
         with self._lock:

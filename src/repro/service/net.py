@@ -12,7 +12,8 @@ machinery with:
 * **bounded backpressure** — at most ``max_inflight`` search requests
   in flight server-wide; excess requests are *rejected immediately*
   with a structured ``overloaded`` error frame instead of queueing
-  without bound;
+  without bound.  Out-of-range options are refused with
+  ``bad-request`` before admission, so they take no slot;
 * **adaptive admission** (``adaptive=True``, the default) — the
   in-flight bound is an :class:`~repro.service.guard.AdaptiveLimiter`
   that starts at ``max_inflight`` and AIMD-adjusts it: on-time
@@ -445,7 +446,10 @@ class TcpSearchServer:
                 writer, protocol.result_frame(request.request_id, payload)
             )
             return
-        # verb == "search"
+        # verb == "search".  Options the caller got wrong are refused
+        # before admission: a bad request takes no slot, batch or
+        # dispatch hop, and is never mistaken for overload.
+        options = protocol.options_from_wire(request.options, self.defaults).validate()
         if self._draining:
             raise Overloaded("server is draining; retry against another instance")
         limit = self._admission_limit()
@@ -454,7 +458,6 @@ class TcpSearchServer:
             raise Overloaded(
                 f"{self._inflight} requests in flight (limit {limit}); retry later"
             )
-        options = protocol.options_from_wire(request.options, self.defaults)
         deadline = None
         if options.deadline_ms is not None:
             # Re-anchor the budget on the server's monotonic clock; a
@@ -523,7 +526,7 @@ class TcpSearchServer:
             f"p{round(SHED_PERCENTILE * 100)} sweep time {p90 * 1e3:.1f}ms"
         )
 
-    def _observe_outcome(self, frame: dict, seconds: float) -> None:
+    def _observe_outcome(self, frame: dict) -> None:
         """Feed one settled request into the limiter.
 
         Only genuine latency failures — an expired end-to-end budget on
@@ -533,7 +536,6 @@ class TcpSearchServer:
         times are observed separately in :meth:`_process_group`, sweep
         only, so the shedding estimate never inflates with queue wait.
         """
-        del seconds  # accept-to-response; the histogram already has it
         code = frame.get("code") if frame.get("type") == "error" else None
         missed = code in (RequestTimeout.code, DeadlineExceeded.code)
         if self.limiter is None:
@@ -769,9 +771,8 @@ class TcpSearchServer:
                 await self._send(item.writer, frame)
             except (ConnectionError, RuntimeError):
                 pass  # client went away; the answer dies with it
-            elapsed = self._loop.time() - item.received
-            self._h_request.observe(elapsed)
-            self._observe_outcome(frame, elapsed)
+            self._h_request.observe(self._loop.time() - item.received)
+            self._observe_outcome(frame)
             self._inflight -= 1
             self._g_inflight.set(self._inflight)
         if self._draining and self._inflight == 0 and self._drained is not None:

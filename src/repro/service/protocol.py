@@ -303,8 +303,8 @@ def options_from_wire(mapping, defaults=None):
 
     Unknown keys and non-integer values raise :class:`ValueError` (the
     ``bad-request`` class on every front-end); range violations are
-    left to the engine's ``validate()`` so the rules live in exactly
-    one place.
+    left to ``QueryOptions.validate()`` so the rules live in exactly
+    one place (the TCP front-end runs it before admission).
     """
     from . import QueryOptions
 

@@ -12,19 +12,28 @@ failure semantics: degraded nodes, expired deadlines, empty spans.
 
 import dataclasses
 import json
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.io.generate import mutate, random_dna
 from repro.obs import SloTracker
-from repro.service import DatabaseIndex, QueryOptions, SearchClient, SearchEngine
+from repro.service import (
+    CircuitBreaker,
+    DatabaseIndex,
+    QueryOptions,
+    SearchClient,
+    SearchEngine,
+)
 from repro.service.cache import ResultCache
 from repro.service.chaos import response_signature, run_cluster_chaos
 from repro.service.cluster import (
     ClusterCoordinator,
     ClusterTopology,
+    HealthMonitor,
     LocalCluster,
     NodeAnswer,
     NodeSpec,
@@ -306,11 +315,61 @@ class TestCoordinatorEndToEnd:
         with LocalCluster(
             shared_index, nodes=2, replicas=1, batch_window=0.0
         ) as cluster:
-            with cluster.client(breaker_factory=None) as client:
+            with cluster.client() as client:
                 cluster.kill_node(0)  # primary dies, replica keeps the span
-                response = client.search(random_dna(30, seed=62), self.OPTIONS)
+                breaker = client.channels[0].breaker
+                # Past the breaker's threshold: a leg the replica
+                # answered is the node's success, not a failure.
+                for seed in range(62, 64 + 2 * breaker.failure_threshold):
+                    response = client.search(random_dna(30, seed=seed), self.OPTIONS)
+                    assert response.coverage == 1.0
+                    assert response.degraded_shards == ()
+                assert breaker.state == "closed"
+
+    def test_heartbeat_keeps_a_node_with_a_live_replica_serving(self, shared_index):
+        with LocalCluster(
+            shared_index, nodes=2, replicas=1, batch_window=0.0
+        ) as cluster:
+            with cluster.client() as client:
+                cluster.kill_node(0)
+                monitor = HealthMonitor(client.channels, jitter=0.0)
+                for _ in range(2 * client.channels[0].breaker.failure_threshold):
+                    monitor.tick()
+                assert client.channels[0].breaker.state == "closed"
+                response = client.search(random_dna(30, seed=64), self.OPTIONS)
                 assert response.coverage == 1.0
-                assert response.degraded_shards == ()
+                health = client.health()
+                assert health["status"] == "ok"
+                assert health["nodes"]["0"]["up"] is True
+                assert health["nodes"]["0"]["breaker"] == "closed"
+
+    def test_withdrawn_leg_hands_back_its_half_open_trial(self, shared_index):
+        now = [0.0]
+        with LocalCluster(shared_index, nodes=2, batch_window=0.0) as cluster:
+            with cluster.client(
+                breaker_factory=lambda node_id: CircuitBreaker(
+                    failure_threshold=1, recovery_time=1.0, clock=lambda: now[0]
+                )
+            ) as client:
+                breaker = client.channels[0].breaker
+                breaker.record_failure(ConnectionError("down"))
+                now[0] = 1.0  # half-open: the next leg is the one trial
+                # Every leg queues behind a busy thread and is withdrawn
+                # unsent when the gather runs out of budget.
+                client._executor.shutdown()
+                client._executor = ThreadPoolExecutor(max_workers=1)
+                release = threading.Event()
+                client._executor.submit(release.wait)
+                try:
+                    with pytest.raises(ValueError, match="no cluster node answered"):
+                        client.search(
+                            random_dna(30, seed=65),
+                            self.OPTIONS.replace(deadline_ms=100),
+                        )
+                finally:
+                    release.set()
+                assert breaker.state == "half-open"
+                breaker.allow()  # the trial slot came back
 
     def test_more_nodes_than_records_serves_clean(self):
         index = DatabaseIndex.build(make_records(2, seed=9))

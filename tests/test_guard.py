@@ -197,6 +197,19 @@ class TestCircuitBreaker:
         breaker.record_failure(ValueError("caller bug"))
         assert breaker.state == CircuitBreaker.CLOSED
 
+    def test_uncountable_outcome_hands_back_the_trial_slot(self, clock):
+        breaker = make_breaker(clock, threshold=1)
+        breaker.record_failure(ConnectionError("down"))
+        clock.advance(10.0)
+        breaker.allow()  # the one half-open trial
+        with pytest.raises(CircuitOpen):
+            breaker.allow()
+        # The trial proved nothing about the endpoint: it neither
+        # closes nor re-opens the breaker, and the next call may try.
+        breaker.record_failure(BadRequest("top must be positive"))
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        breaker.allow()
+
     def test_failure_taxonomy(self):
         assert CircuitBreaker.counts_as_failure(ConnectionError("reset"))
         assert CircuitBreaker.counts_as_failure(EOFError("closed mid-frame"))

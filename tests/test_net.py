@@ -118,6 +118,27 @@ class TestEquivalence:
                 # ...and the connection is still perfectly usable.
                 assert client.search(query).report.hits
 
+    def test_bad_options_are_refused_before_admission(self, planted):
+        query, _, index = planted
+        obs = Observability.create()
+        with ServerThread(make_engine(index, obs=obs)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                client.search(query)
+                with pytest.raises(BadRequest, match="top must be positive"):
+                    client.search(query, QueryOptions(top=0))
+                # Refused even when the server is full: a caller's
+                # mistake is a bad request, never overload.
+                handle.server._draining = True
+                try:
+                    with pytest.raises(BadRequest):
+                        client.search(query, QueryOptions(top=0))
+                finally:
+                    handle.server._draining = False
+        counters = obs.registry.snapshot()["counters"]
+        # Neither refusal took an admission slot or a batch.
+        assert counters["repro_net_requests_total"] == 1
+        assert counters["repro_net_batches_total"] == 1
+
 
 class TestPipelining:
     def test_sync_pipelined_matches_inline(self, planted):

@@ -72,7 +72,6 @@ def test_service_stable_surface_pinned():
                  "TcpSearchServer", "AsyncSearchClient", "partition_index"):
         assert hasattr(repro.service, name), f"repro.service.{name} vanished"
     from repro.service.guard import ServiceTimeTracker  # noqa: F401
-    from repro.service.cluster import NodeEjected, NodeHealth  # noqa: F401
 
 
 def test_top_level_quickstart_symbols():

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.io.generate import random_dna
-from repro.obs import NULL_OBS
+from repro.obs import NULL_OBS, Observability
 from repro.service import (
     AdaptiveLimiter,
     CircuitBreaker,
+    CircuitOpen,
     ClusterSupervisor,
     DatabaseIndex,
     HealthMonitor,
@@ -158,12 +159,16 @@ class TestServiceTimeTracker:
 
 
 # ----------------------------------------------------------------------
-# HealthMonitor: tick-driven membership state machine
+# HealthMonitor: tick-driven probes feeding each node's breaker
 # ----------------------------------------------------------------------
 class FakeChannel:
-    def __init__(self, alive=True):
+    def __init__(self, alive=True, threshold=3):
         self.alive = alive
-        self.breaker = CircuitBreaker(failure_threshold=1, name="fake")
+        # A frozen clock: only probes and legs move the breaker.
+        self.breaker = CircuitBreaker(
+            failure_threshold=threshold, recovery_time=10.0, name="fake",
+            clock=FakeClock(),
+        )
 
     def ping(self):
         return self.alive
@@ -172,8 +177,6 @@ class FakeChannel:
 class TestHealthMonitor:
     def monitor(self, channels, **kwargs):
         kwargs.setdefault("jitter", 0.0)
-        kwargs.setdefault("eject_after", 3)
-        kwargs.setdefault("readmit_after", 2)
         return HealthMonitor(channels, **kwargs)
 
     def test_ejects_after_consecutive_failures_only(self):
@@ -182,97 +185,65 @@ class TestHealthMonitor:
         channels[1].alive = False
         monitor.tick()
         monitor.tick()
-        assert monitor.is_up(1)  # two failures < eject_after
-        membership = monitor.tick()
-        assert membership == {0: True, 1: False}
-        assert monitor.down_nodes == {1} and monitor.up_nodes == {0}
-
-    def test_flapping_resets_the_failure_streak(self):
-        channels = {0: FakeChannel()}
-        monitor = self.monitor(channels)
-        channels[0].alive = False
-        monitor.tick()
-        monitor.tick()
-        channels[0].alive = True
-        monitor.tick()  # success wipes the streak
-        channels[0].alive = False
-        monitor.tick()
-        monitor.tick()
-        assert monitor.is_up(0)
+        assert channels[1].breaker.state == CircuitBreaker.CLOSED  # 2 < threshold
+        assert monitor.tick() == {0: CircuitBreaker.CLOSED, 1: CircuitBreaker.OPEN}
+        with pytest.raises(CircuitOpen):
+            channels[1].breaker.allow()
 
     def test_probation_readmits_and_resets_the_breaker(self):
-        channels = {0: FakeChannel()}
-        monitor = self.monitor(channels, eject_after=1, readmit_after=2)
-        channels[0].alive = False
+        channels = {0: FakeChannel(alive=False, threshold=1)}
+        monitor = self.monitor(channels)
+        breaker = channels[0].breaker
         monitor.tick()
-        assert not monitor.is_up(0)
-        channels[0].breaker.record_failure(ConnectionError("down"))
-        assert channels[0].breaker.state == CircuitBreaker.OPEN
+        assert breaker.state == CircuitBreaker.OPEN
         channels[0].alive = True
-        monitor.tick()
-        assert not monitor.is_up(0)  # one probe < readmit_after
-        monitor.tick()
-        assert monitor.is_up(0)
-        # Stale failure history must not short-circuit the first real
-        # query after the heal.
-        assert channels[0].breaker.state == CircuitBreaker.CLOSED
+        # Long before the recovery time: the answer itself half-opens.
+        assert monitor.tick() == {0: CircuitBreaker.HALF_OPEN}
+        breaker.allow()  # the trial leg
+        with pytest.raises(CircuitOpen):
+            breaker.allow()  # one trial at a time
+        breaker.record_success()
+        assert breaker.state == CircuitBreaker.CLOSED
 
-    def test_probation_failure_resets_the_success_streak(self):
-        channels = {0: FakeChannel(alive=False)}
-        monitor = self.monitor(channels, eject_after=1, readmit_after=2)
+    def test_failed_probe_reopens_a_half_open_breaker(self):
+        channels = {0: FakeChannel(alive=False, threshold=1)}
+        monitor = self.monitor(channels)
         monitor.tick()
         channels[0].alive = True
         monitor.tick()
         channels[0].alive = False
-        monitor.tick()  # probation probe fails: streak back to zero
-        channels[0].alive = True
-        monitor.tick()
-        assert not monitor.is_up(0)
-        monitor.tick()
-        assert monitor.is_up(0)
+        assert monitor.tick() == {0: CircuitBreaker.OPEN}
 
-    def test_transition_hook_sees_both_directions(self):
-        seen = []
-        channels = {0: FakeChannel()}
-        monitor = self.monitor(
-            channels,
-            eject_after=1,
-            readmit_after=1,
-            on_transition=lambda nid, up: seen.append((nid, up)),
-        )
-        channels[0].alive = False
-        monitor.tick()
-        channels[0].alive = True
-        monitor.tick()
-        assert seen == [(0, False), (0, True)]
+    def test_good_probe_keeps_a_closed_breakers_leg_failure_streak(self):
+        channels = {0: FakeChannel(threshold=3)}
+        monitor = self.monitor(channels)
+        breaker = channels[0].breaker
+        breaker.record_failure(ConnectionError("leg failed"))
+        breaker.record_failure(ConnectionError("leg failed"))
+        monitor.tick()  # the node answers pings...
+        assert breaker.state == CircuitBreaker.CLOSED
+        breaker.record_failure(ConnectionError("leg failed"))
+        # ...but its searches keep failing, so it still trips.
+        assert breaker.state == CircuitBreaker.OPEN
 
-    def test_unknown_node_counts_as_up(self):
-        monitor = self.monitor({0: FakeChannel()})
-        assert monitor.is_up(99)
-
-    def test_recovery_time_is_measured_on_the_injected_clock(self):
-        clock = FakeClock()
-        channels = {0: FakeChannel(alive=False)}
-        monitor = self.monitor(
-            channels, eject_after=1, readmit_after=1, clock=clock
-        )
+    def test_probes_are_counted(self):
+        obs = Observability.create()
+        monitor = self.monitor({0: FakeChannel(), 1: FakeChannel()}, obs=obs)
         monitor.tick()
-        clock.advance(7.5)
-        channels[0].alive = True
         monitor.tick()
-        report = monitor.describe()
-        assert report["nodes"]["0"]["ejections"] == 1
-        assert report["nodes"]["0"]["readmissions"] == 1
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["repro_healthd_probes_total"] == 4
+        assert monitor.describe()["ticks"] == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
             HealthMonitor({}, interval=0)
         with pytest.raises(ValueError):
             HealthMonitor({}, jitter=1.0)
-        with pytest.raises(ValueError):
-            HealthMonitor({}, eject_after=0)
-        with pytest.raises(ValueError):
-            HealthMonitor({}, readmit_after=0)
+        unguarded = FakeChannel()
+        unguarded.breaker = None
+        with pytest.raises(ValueError, match="no breaker"):
+            HealthMonitor({0: FakeChannel(), 3: unguarded})
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +386,24 @@ class TestNodeChannelPing:
     def test_ping_healthy(self):
         assert self.channel(None).ping() is True
 
+    def test_ping_falls_over_to_a_live_replica(self):
+        spec = NodeSpec(
+            node_id=0, start=0, stop=4, address="127.0.0.1:1",
+            replicas=("127.0.0.1:2",),
+        )
+        dead = {spec.address: ConnectionError("dead")}
+        channel = NodeChannel(
+            spec,
+            client_factory=lambda address, **kw: ExplodingClient(
+                address, exc=dead.get(address)
+            ),
+            breaker=None,
+            retry=RetryPolicy(retries=0),
+            timeout=1.0,
+            obs=NULL_OBS,
+        )
+        assert channel.ping() is True
+
 
 # ----------------------------------------------------------------------
 # LocalCluster lifecycle: kill/stop are idempotent
@@ -450,29 +439,34 @@ class TestSelfHealIntegration:
         index = make_index(n_records=12)
         query = random_dna(30, seed=42)
         with LocalCluster(index, nodes=3, batch_window=0.0) as cluster:
-            with cluster.client(breaker_factory=None) as coordinator:
-                monitor = HealthMonitor(
-                    coordinator.channels,
-                    jitter=0.0,
-                    eject_after=2,
-                    readmit_after=1,
+            # A recovery time no test run reaches: only probes and legs
+            # move the breakers, never the wall clock.
+            with cluster.client(
+                breaker_factory=lambda node_id: CircuitBreaker(
+                    failure_threshold=2, recovery_time=600.0, name=f"node-{node_id}"
                 )
-                coordinator.monitor = monitor
+            ) as coordinator:
+                monitor = HealthMonitor(coordinator.channels, jitter=0.0)
+                breaker = coordinator.channels[1].breaker
                 supervisor = ClusterSupervisor(cluster, coordinators=[coordinator])
                 baseline = coordinator.search(query, OPTIONS)
                 assert baseline.coverage == 1.0
                 cluster.kill_node(1)
-                monitor.tick()
-                monitor.tick()
-                assert monitor.down_nodes == {1}
+                for _ in range(breaker.failure_threshold):
+                    monitor.tick()
+                # The heartbeat opened the breaker with no traffic flowing.
+                assert breaker.state == CircuitBreaker.OPEN
                 degraded = coordinator.search(query, OPTIONS)
                 assert degraded.coverage < 1.0
                 assert degraded.degraded_shards == (1,)
                 assert supervisor.check_once() == [1]
-                monitor.tick()  # probation probe hits the new address
-                assert monitor.down_nodes == set()
+                # Reattaching keeps the probation...
+                assert breaker.state == CircuitBreaker.OPEN
+                monitor.tick()  # ...until a probe reaches the new address
+                assert breaker.state == CircuitBreaker.HALF_OPEN
                 healed = coordinator.search(query, OPTIONS)
                 assert healed.coverage == 1.0
+                assert breaker.state == CircuitBreaker.CLOSED
                 assert [
                     (hit.record, hit.score) for hit in healed.report.hits
                 ] == [(hit.record, hit.score) for hit in baseline.report.hits]
