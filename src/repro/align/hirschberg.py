@@ -26,10 +26,13 @@ level at a time.  Every forward and backward last-row sweep of a level
 runs in one NumPy row loop over a *segmented* layout
 (:func:`~repro.align.needleman_wunsch.nw_segmented_sweep`): the sweeps
 are laid side by side, one segment per sweep (column 0 holding the row
-boundary), and the within-row max-plus scan adds a per-segment offset,
-larger than any score range, before ``maximum.accumulate`` so the
-running maximum restarts at each segment.  Segments are ordered by row
-count, so the sweeps still running always form a prefix of the layout.
+boundary).  Each row is kept lifted, ``D + |gap| * (r + c)`` plus a
+per-segment offset ``q * stride``; that value lies in ``[0, min(r, c) *
+(max pair - 2 * gap)]`` above the offset, so with ``stride`` past that
+bound the within-row ``maximum.accumulate`` restarts at each segment,
+and a row costs one pair gather, one add, one maximum and the scan.
+Segments are ordered by row count, so the sweeps still running always
+form a prefix of the layout.
 Because the split halves ``s`` exactly, the sweeps of one level have
 nearly equal row counts, and the row loop runs about ``m`` times in all
 instead of once per sweep row of every crossing (about ``m log m``).
@@ -61,6 +64,9 @@ from .scoring import DEFAULT_DNA, LinearScoring, SubstitutionMatrix, encode
 from .traceback import GAP, Alignment
 
 __all__ = ["hirschberg_align", "hirschberg_align_batch", "hirschberg_crossing"]
+
+#: Above every column: the key of a column that is not a maximum.
+_NO_COLUMN = np.iinfo(np.int64).max
 
 
 def hirschberg_crossing(
@@ -111,18 +117,18 @@ def _level_crossings(
         cols=np.concatenate([cols, cols]),
         scheme=scheme,
     )
-    # totals[c] = forward[c] + backward[cols - c] per node; first argmax.
+    # totals[c] = forward[c] + backward[cols - c] per node, laid end to
+    # end at t_starts[node] + c; then each node's first argmax.
     lengths = cols + 1
     t_ends = np.cumsum(lengths)
     t_starts = t_ends - lengths
-    node_of = np.repeat(np.arange(count), lengths)
-    c = np.arange(int(t_ends[-1])) - t_starts[node_of]
-    forward = where[:count][node_of] + c
-    backward = (where[count:] + cols)[node_of] - c
+    at = np.arange(int(t_ends[-1]))
+    forward = (where[:count] - t_starts).repeat(lengths) + at
+    backward = (where[count:] + cols + t_starts).repeat(lengths) - at
     totals = last[forward] + last[backward]
-    best = np.maximum.reduceat(totals, t_starts)
-    first = np.where(totals == best[node_of], c, np.iinfo(np.int64).max)
-    return np.minimum.reduceat(first, t_starts)
+    best = np.maximum.reduceat(totals, t_starts).repeat(lengths)
+    first = np.minimum.reduceat(np.where(totals == best, at, _NO_COLUMN), t_starts)
+    return first - t_starts
 
 
 #: Traceback moves: a pair column, ``s`` over a gap, a gap over ``t``.

@@ -24,15 +24,37 @@ Hirschberg's recursion, or the anchored passes of a whole batch of
 retrievals (:func:`nw_cells_argmax_batch`) — so the loop's interpreter
 cost is paid once per row, not once per row of every sweep.  The sweeps
 are laid out as *segments* of one array, column 0 of each holding its
-row boundary, and the within-row scan adds a per-segment offset, larger
-than any score range, before ``maximum.accumulate``, so the running
-maximum restarts at each segment.  Segments are ordered by row count,
-so the sweeps still running always form a prefix of the layout.
-Memory is one entry per column and per sweep: ``O(sum of (m + n))``.
+row boundary.  Segments are ordered by row count, so the sweeps still
+running always form a prefix of the layout.
+
+**Lifted, drift-free rows.**  Segment ``q`` keeps row ``r`` as ``R[c] =
+D[r, c] + |gap| * (r + c) + q * stride`` instead of ``D``.  In that form
+the row step is just
+
+    ``h[c] = max(R'[c - 1] + pair - 2 * gap, R'[c])``,  ``R = maximum.accumulate(h)``
+
+with ``R'`` the previous row: the scan identity's ``(j - k) * gap``
+terms and the row's ``gap * r`` are folded into the stored values and
+into one pair table shifted by ``-2 * gap``.  A row reads its pair
+scores from that table (each segment's ``s`` code, repeated over the
+segment, plus each column's ``t`` code), then takes one add, one
+maximum and one prefix scan: seven NumPy calls, with no per-row lift,
+un-lift or boundary write.  Every alignment path scores at least
+its all-gap cost ``gap * (r + c)`` and at most ``min(r, c)`` pairs of
+``pair_max = max pair - 2 * gap`` above it, so ``R - q * stride`` lies
+in ``[0, min(r, c) * max(pair_max, 0)]``.  Column 0 of a segment holds
+the constant ``q * stride`` on every row; with ``stride`` above
+``(min(rows, cols) + 1) * max(pair_max, 0)``, the previous segment's
+last column plus any shifted pair score stays at or below it, so the
+running maximum restarts at each segment without being written there.
+``D`` is recovered once, after the loop, from each sweep's own last
+row count.  Memory is one entry per column and per sweep, ``O(sum of
+(m + n))``, plus one ``256 x 256`` pair table per scheme, built once.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +75,8 @@ __all__ = [
 
 #: Below every DP value: the "no cell yet" score of the argmax trackers.
 _NO_CELL = -(1 << 62)
+#: Above every ``(row, column)`` key: the "not a maximum" key of a column.
+_NO_KEY = np.iinfo(np.int64).max
 
 
 def nw_align(
@@ -182,6 +206,20 @@ def nw_cells_argmax_batch(
     return hits
 
 
+@functools.lru_cache(maxsize=4)
+def _shifted_pairs(scheme: LinearScoring | SubstitutionMatrix) -> tuple[np.ndarray, int]:
+    """``pair(a, b) - 2 * gap`` of every byte pair, flat at ``a * 256 + b``, and its maximum.
+
+    Built once per scheme, so a sweep gathers each row's pair scores
+    from it instead of deriving them per row or per call; every caller
+    shares it, so it is read-only.
+    """
+    codes = np.arange(256, dtype=np.uint8)
+    table = scheme.substitution_rows(codes, codes).ravel() - 2 * scheme.gap
+    table.flags.writeable = False
+    return table, int(table.max())
+
+
 def nw_segmented_sweep(
     s_codes: np.ndarray,
     t_codes: np.ndarray,
@@ -217,22 +255,30 @@ def nw_segmented_sweep(
     total = int(ends[-1])
     sweep_of = np.repeat(np.arange(count), widths)
     local = np.arange(total) - starts[sweep_of]
-    # Column 0 of a segment is the row boundary; its t code is unused.
+    # Row r of sweep q reads s_ext[s_base[q] + r - 1] (s, then s
+    # reversed) and pairs[(s code << 8) + t code] (pair - 2 * gap).
+    # Column 0 of a segment is the row boundary; its codes are unused.
+    pairs, pair_max = _shifted_pairs(scheme)
+    s_ext = np.concatenate([s_codes, s_codes[::-1]]).astype(np.int64) << 8
+    s_base = np.where(step > 0, s_first, 2 * len(s_codes) - 1 - s_first)
     t_index = t_first[sweep_of] + step[sweep_of] * (local - 1)
-    t_cat = t_codes[t_index.clip(0, len(t_codes) - 1)]
-    # |D| <= (rows + cols) * bound in any sweep, so this stride puts
-    # every value of a segment above every value of the one before it.
-    low, high = scheme.pair_range()
-    bound = max(-gap, abs(low), abs(high))
-    stride = 2 * (int(rows[0]) + 2 * int(widths.max()) + 2) * bound + 1
-    lift = sweep_of * stride - gap * local  # scan on h + lift, then subtract it
-    s_at = s_first[sweep_of]  # per column: its sweep's s index on this row
-    s_step = step[sweep_of]
-    prev = gap * local
+    t_cat = t_codes.astype(np.int64).take(t_index, mode="clip")
+    # Rows are kept lifted: segment q's row r holds R = D + |gap| * (r +
+    # c) + q * stride, and R - q * stride lies in [0, min(r, c) *
+    # max(pair_max, 0)] (module docs), so this stride puts every value of
+    # a segment, plus any shifted pair score, at most at the next
+    # segment's constant column 0.
+    stride = (min(int(rows[0]), int(widths.max()) - 1) + 1) * max(pair_max, 0) + 1
+    lift = sweep_of * stride
+    prev = lift.copy()  # row 0: D = gap * c
     cur = np.empty_like(prev)
     h = np.empty_like(prev)
+    h[0] = 0  # segment 0's column 0; the row step gives every other one
+    index = np.empty_like(prev)
     if track_argmax:
-        # Per column: its best value so far and the first row reaching it.
+        # Per column: its best D + lift - gap * c so far and the first row
+        # reaching it.
+        lifted = np.empty_like(prev)
         col_best = np.full(total, _NO_CELL, dtype=np.int64)
         col_row = np.zeros(total, dtype=np.int64)
         improved = np.empty(total, dtype=bool)
@@ -247,36 +293,35 @@ def nw_segmented_sweep(
                 cur[narrow:width] = prev[narrow:width]
             # Views of the still-running prefix, made once per width.
             width = int(ends[active - 1])
-            p, c = prev[:width], cur[:width]
-            hw, h_tail, s_w, step_w = h[:width], h[1:width], s_at[:width], s_step[:width]
-            t_w, lift_w, first_cols = t_cat[:width], lift[:width], starts[:active]
+            p, c, hw, h_tail = prev[:width], cur[:width], h[:width], h[1:width]
+            s_w, widths_w, t_w = s_base[:active], widths[:active], t_cat[:width]
+            index_w, index_tail = index[:width], index[1:width]
             if track_argmax:
-                best_w, row_w, improved_w = col_best[:width], col_row[:width], improved[:width]
-        pair = scheme.pair_scores(s_codes[s_w], t_w)
-        s_w += step_w
-        np.add(p[:-1], pair[1:], out=h_tail)
-        np.maximum(h_tail, p[1:] + gap, out=h_tail)
-        hw[first_cols] = gap * r
-        hw += lift_w
+                lifted_w, best_w = lifted[:width], col_best[:width]
+                row_w, improved_w = col_row[:width], improved[:width]
+        np.add(s_ext[r - 1 :][s_w].repeat(widths_w), t_w, out=index_w)
+        np.add(p[:-1], pairs[index_tail], out=h_tail)
+        np.maximum(h_tail, p[1:], out=h_tail)
         np.maximum.accumulate(hw, out=c)
-        c -= lift_w
         if track_argmax:
             # Strict improvement keeps each column's first row at its best.
-            np.greater(c, best_w, out=improved_w)
-            np.maximum(best_w, c, out=best_w)
-            np.copyto(row_w, r, where=improved_w)
+            np.add(c, r * gap, out=lifted_w)
+            np.greater(lifted_w, best_w, out=improved_w)
+            np.maximum(best_w, lifted_w, out=best_w)
+            np.putmask(row_w, improved_w, r)
         prev, cur, p, c = cur, prev, c, p
+    # Back to D, each sweep at its own last row.
+    prev += gap * (rows[sweep_of] + local) - lift
     where = np.empty(count, dtype=np.int64)
     where[order] = starts
     best = None
     if track_argmax:
         # Each segment's maximum over interior cells (column 0 holds empty
         # alignments), then the smallest (row, column) that reaches it.
+        col_best += gap * local - lift
         col_best[starts] = _NO_CELL
         seg_best = np.maximum.reduceat(col_best, starts)
-        key = np.where(
-            col_best == seg_best[sweep_of], col_row * total + local, np.iinfo(np.int64).max
-        )
+        key = np.where(col_best == seg_best[sweep_of], col_row * total + local, _NO_KEY)
         first = np.minimum.reduceat(key, starts)
         best = np.empty((3, count), dtype=np.int64)
         best[:, order] = np.stack([seg_best, first // total, first % total])

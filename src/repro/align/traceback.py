@@ -12,7 +12,10 @@ rather than deep inside a kernel.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,6 +25,10 @@ __all__ = ["Alignment", "GAP"]
 
 #: Gap character used in aligned strings.
 GAP = "-"
+
+_GAP_RUN = re.compile(re.escape(GAP) + "+")
+#: Midline byte of a column from its equality flag: ``.`` (0) or ``|`` (1).
+_MIDLINE = bytes.maketrans(b"\x00\x01", b".|")
 
 
 @dataclass(frozen=True)
@@ -65,13 +72,31 @@ class Alignment:
             object.__setattr__(
                 self, "t_end", self.t_start + self._ungapped_len(self.t_aligned)
             )
-        for col, (a, b) in enumerate(zip(self.s_aligned, self.t_aligned)):
-            if a == GAP and b == GAP:
+        for start, end in self._gap_runs[0]:
+            col = self.t_aligned.find(GAP, start, end)
+            if col >= 0:
                 raise ValueError(f"column {col} aligns a gap against a gap")
 
     @staticmethod
     def _ungapped_len(aligned: str) -> int:
         return len(aligned) - aligned.count(GAP)
+
+    # The column views below are derived once per alignment and shared
+    # by the counts, the midline and the CIGAR string.
+    @cached_property
+    def _gap_runs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Half-open column ranges of the maximal gap runs of ``s_aligned``
+        and of ``t_aligned``."""
+        s_runs, t_runs = (
+            [run.span() for run in _GAP_RUN.finditer(row)]
+            for row in (self.s_aligned, self.t_aligned)
+        )
+        return s_runs, t_runs
+
+    @cached_property
+    def _equal(self) -> bytes:
+        """One byte per column: 1 where both rows hold the same character."""
+        return bytes(map(operator.eq, self.s_aligned, self.t_aligned))
 
     # ------------------------------------------------------------------
     # Derived views
@@ -96,17 +121,12 @@ class Alignment:
 
     def matches(self) -> int:
         """Number of identical (match) columns."""
-        return sum(
-            1 for a, b in zip(self.s_aligned, self.t_aligned) if a == b and a != GAP
-        )
+        # No column aligns a gap against a gap, so equal columns are matches.
+        return self._equal.count(1)
 
     def mismatches(self) -> int:
         """Number of substitution (mismatch, non-gap) columns."""
-        return sum(
-            1
-            for a, b in zip(self.s_aligned, self.t_aligned)
-            if a != b and a != GAP and b != GAP
-        )
+        return len(self) - self.matches() - self.gaps()
 
     def gaps(self) -> int:
         """Number of gap characters across both rows."""
@@ -119,22 +139,19 @@ class Alignment:
     def cigar(self) -> str:
         """Compact CIGAR string: ``M`` match/mismatch, ``I`` insertion
         in s (gap in t), ``D`` deletion from s (gap in s)."""
-        ops: list[str] = []
-        for a, b in zip(self.s_aligned, self.t_aligned):
-            if a == GAP:
-                ops.append("D")
-            elif b == GAP:
-                ops.append("I")
-            else:
-                ops.append("M")
+        # Gap runs of s are D runs and those of t are I runs; they never
+        # share a column, and M fills the columns between them.
+        s_runs, t_runs = self._gap_runs
+        runs = sorted([(*run, "D") for run in s_runs] + [(*run, "I") for run in t_runs])
         out: list[str] = []
-        i = 0
-        while i < len(ops):
-            j = i
-            while j < len(ops) and ops[j] == ops[i]:
-                j += 1
-            out.append(f"{j - i}{ops[i]}")
-            i = j
+        col = 0
+        for start, end, op in runs:
+            if start > col:
+                out.append(f"{start - col}M")
+            out.append(f"{end - start}{op}")
+            col = end
+        if len(self) > col:
+            out.append(f"{len(self) - col}M")
         return "".join(out)
 
     # ------------------------------------------------------------------
@@ -203,15 +220,11 @@ class Alignment:
     # ------------------------------------------------------------------
     def midline(self) -> str:
         """The classic midline: ``|`` match, ``.`` mismatch, space gap."""
-        out = []
-        for a, b in zip(self.s_aligned, self.t_aligned):
-            if a == GAP or b == GAP:
-                out.append(" ")
-            elif a == b:
-                out.append("|")
-            else:
-                out.append(".")
-        return "".join(out)
+        out = bytearray(self._equal.translate(_MIDLINE))
+        for runs in self._gap_runs:
+            for start, end in runs:
+                out[start:end] = b" " * (end - start)
+        return out.decode("ascii")
 
     def pretty(self, width: int = 60) -> str:
         """Multi-line rendering in blocks of ``width`` columns.

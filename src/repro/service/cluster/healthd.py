@@ -24,7 +24,10 @@ The monitor keeps no per-node state of its own.  Probes use
 failover order and never raises, so a node with a live replica stays
 up.  The heartbeat interval is jittered by a seeded RNG so a fleet of
 monitors does not synchronize its probe bursts against the same node;
-probes are counted in ``healthd_probes_total``.
+probes are counted in ``healthd_probes_total``.  After each probe the
+``healthd_node_up_<id>`` gauge reads the verdict the breaker now holds
+(1 unless it is open), so a node that died while no traffic flowed
+shows as down without waiting for a fan-out to find it.
 
 The loop is a daemon thread (:meth:`start` / :meth:`stop`), but every
 piece of logic lives in :meth:`tick` so tests drive the monitor
@@ -39,6 +42,7 @@ import threading
 from typing import Mapping
 
 from ...obs import NULL_OBS, Observability
+from ..guard import CircuitBreaker
 
 __all__ = ["HealthMonitor"]
 
@@ -106,7 +110,11 @@ class HealthMonitor:
         for node_id, channel in list(self.channels.items()):
             channel.breaker.record_probe(bool(channel.ping()))
             self._m_probes.inc()
-            states[node_id] = channel.breaker.state
+            states[node_id] = state = channel.breaker.state
+            self.obs.registry.gauge(
+                f"healthd_node_up_{node_id}",
+                "1 unless the node's breaker is open, as of the last heartbeat",
+            ).set(0.0 if state == CircuitBreaker.OPEN else 1.0)
         self.ticks += 1
         return states
 

@@ -343,6 +343,21 @@ class TestCoordinatorEndToEnd:
                 assert health["nodes"]["0"]["up"] is True
                 assert health["nodes"]["0"]["breaker"] == "closed"
 
+    def test_heartbeat_marks_a_node_killed_while_idle_down(self, shared_index):
+        from repro.obs import Observability
+
+        obs = Observability.create()
+        with LocalCluster(shared_index, nodes=3, batch_window=0.0, obs=obs) as cluster:
+            with cluster.client() as client:
+                client.search(random_dna(30, seed=65), self.OPTIONS)
+                cluster.kill_node(2)
+                monitor = HealthMonitor(client.channels, jitter=0.0, obs=obs)
+                for _ in range(3):
+                    monitor.tick()
+                assert client.channels[2].breaker.state == "open"
+        gauges = obs.registry.snapshot()["gauges"]
+        assert [gauges[f"repro_healthd_node_up_{n}"] for n in range(3)] == [1.0, 1.0, 0.0]
+
     def test_withdrawn_leg_hands_back_its_half_open_trial(self, shared_index):
         now = [0.0]
         with LocalCluster(shared_index, nodes=2, batch_window=0.0) as cluster:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.align.matrix import SimilarityMatrix
 from repro.align.needleman_wunsch import (
@@ -11,8 +11,16 @@ from repro.align.needleman_wunsch import (
     nw_cells_argmax_batch,
     nw_last_row,
     nw_score,
+    nw_segmented_sweep,
 )
-from repro.align.scoring import DEFAULT_DNA, PROTEIN_ALPHABET, LinearScoring, blosum62, encode
+from repro.align.scoring import (
+    DEFAULT_DNA,
+    DNA_ALPHABET,
+    PROTEIN_ALPHABET,
+    LinearScoring,
+    blosum62,
+    encode,
+)
 from repro.align.smith_waterman import LocalHit, sw_score
 
 from conftest import dna_pair, linear_schemes
@@ -158,3 +166,68 @@ class TestCellsArgmaxBatch:
 
     def test_empty_batch(self):
         assert nw_cells_argmax_batch([]) == []
+
+
+#: Rows and columns of a sweep: tall and narrow, wide and short, one
+#: column, or anything small.
+_SWEEP_SHAPES = {
+    "tall": ((8, 24), (1, 3)),
+    "wide": ((1, 3), (8, 24)),
+    "column": ((1, 12), (1, 1)),
+    "small": ((1, 10), (1, 10)),
+}
+#: Schemes at the edges of the lifted row form: a gap that dwarfs the
+#: match, a match that dwarfs the gap, and substitution tables with a
+#: cheap and a costly gap.
+_EDGE_SCHEMES = [
+    DEFAULT_DNA,
+    LinearScoring(1, -50, -50),
+    LinearScoring(20, -1, -1),
+    blosum62(-1),
+    blosum62(-12),
+]
+
+
+@st.composite
+def segmented_sweeps(draw, alphabet):
+    """Sweeps ``(s, t, step)`` of mixed shapes and directions."""
+    sweeps = []
+    for _ in range(draw(st.integers(1, 6))):
+        (r_lo, r_hi), (c_lo, c_hi) = _SWEEP_SHAPES[draw(st.sampled_from(sorted(_SWEEP_SHAPES)))]
+        rows, cols = draw(st.integers(r_lo, r_hi)), draw(st.integers(c_lo, c_hi))
+        s = draw(st.text(alphabet=alphabet, min_size=rows, max_size=rows))
+        t = draw(st.text(alphabet=alphabet, min_size=cols, max_size=cols))
+        sweeps.append((s, t, draw(st.sampled_from([1, -1]))))
+    return sweeps
+
+
+class TestSegmentedSweep:
+    """Each segment of one row loop equals its own linear-space sweep."""
+
+    @settings(max_examples=200)
+    @given(st.data(), st.sampled_from(range(len(_EDGE_SCHEMES))))
+    def test_equals_per_sweep_oracles(self, data, which):
+        scheme = _EDGE_SCHEMES[which]
+        alphabet = DNA_ALPHABET if isinstance(scheme, LinearScoring) else PROTEIN_ALPHABET
+        sweeps = data.draw(segmented_sweeps(alphabet))
+        # Lay the sweeps end to end; a step -1 sweep starts at its
+        # slice's last character and reads it backwards.
+        s_codes = encode("".join(s for s, _, _ in sweeps))
+        t_codes = encode("".join(t for _, t, _ in sweeps))
+        rows = np.array([len(s) for s, _, _ in sweeps], dtype=np.int64)
+        cols = np.array([len(t) for _, t, _ in sweeps], dtype=np.int64)
+        step = np.array([k for _, _, k in sweeps], dtype=np.int64)
+        s_first = np.cumsum(rows) - rows + np.where(step < 0, rows - 1, 0)
+        t_first = np.cumsum(cols) - cols + np.where(step < 0, cols - 1, 0)
+        layout = (s_codes, t_codes, s_first, t_first, step, rows, cols, scheme)
+        last, where, best = nw_segmented_sweep(*layout, track_argmax=True)
+        plain_last, plain_where, none = nw_segmented_sweep(*layout)
+        assert none is None
+        assert np.array_equal(plain_where, where)
+        for q, (s, t, k) in enumerate(sweeps):
+            s_read, t_read = encode(s[::k]), encode(t[::k])
+            row = nw_last_row(s_read, t_read, scheme)
+            assert np.array_equal(last[where[q] : where[q] + len(t) + 1], row)
+            assert np.array_equal(plain_last[where[q] : where[q] + len(t) + 1], row)
+            hit = nw_cells_argmax(s_read, t_read, scheme)
+            assert best[:, q].tolist() == [hit.score, hit.i, hit.j]

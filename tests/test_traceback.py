@@ -1,7 +1,7 @@
 """Unit tests for repro.align.traceback (the Alignment object)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from repro.align.scoring import DEFAULT_DNA, AffineScoring, LinearScoring
 from repro.align.smith_waterman import sw_align
@@ -12,6 +12,94 @@ from conftest import dna_pair
 
 def make(s_aligned: str, t_aligned: str, score: int = 0, **kw) -> Alignment:
     return Alignment(s_aligned, t_aligned, score, **kw)
+
+
+# Character-at-a-time oracles of the rendered views: the definitions the
+# Alignment methods must reproduce byte for byte.
+def oracle_matches(aln: Alignment) -> int:
+    return sum(1 for a, b in zip(aln.s_aligned, aln.t_aligned) if a == b and a != GAP)
+
+
+def oracle_midline(aln: Alignment) -> str:
+    out = []
+    for a, b in zip(aln.s_aligned, aln.t_aligned):
+        if a == GAP or b == GAP:
+            out.append(" ")
+        elif a == b:
+            out.append("|")
+        else:
+            out.append(".")
+    return "".join(out)
+
+
+def oracle_cigar(aln: Alignment) -> str:
+    ops = []
+    for a, b in zip(aln.s_aligned, aln.t_aligned):
+        ops.append("D" if a == GAP else "I" if b == GAP else "M")
+    out = []
+    i = 0
+    while i < len(ops):
+        j = i
+        while j < len(ops) and ops[j] == ops[i]:
+            j += 1
+        out.append(f"{j - i}{ops[i]}")
+        i = j
+    return "".join(out)
+
+
+def oracle_pretty(aln: Alignment, width: int = 60) -> str:
+    mid = oracle_midline(aln)
+    blocks = []
+    s_pos, t_pos = aln.s_start, aln.t_start
+    for off in range(0, max(len(aln), 1), width):
+        sa = aln.s_aligned[off : off + width]
+        ta = aln.t_aligned[off : off + width]
+        blocks.append(
+            f"s {s_pos + 1:>8}  {sa}\n            {mid[off : off + width]}\nt {t_pos + 1:>8}  {ta}"
+        )
+        s_pos += len(sa) - sa.count(GAP)
+        t_pos += len(ta) - ta.count(GAP)
+    identity = oracle_matches(aln) / len(aln) if len(aln) else 0.0
+    header = (
+        f"score={aln.score}  s[{aln.s_start + 1}..{aln.s_end}]"
+        f"  t[{aln.t_start + 1}..{aln.t_end}]"
+        f"  identity={identity:.1%}  cigar={oracle_cigar(aln)}"
+    )
+    return header + "\n" + "\n\n".join(blocks)
+
+
+#: Column kinds of a random gapped pair.
+_COLUMN_PAIRS = {
+    "match": st.sampled_from("ACGT").map(lambda a: (a, a)),
+    "mismatch": st.sampled_from([(a, b) for a in "ACGT" for b in "ACGT" if a != b]),
+    "s_gap": st.sampled_from("ACGT").map(lambda b: (GAP, b)),
+    "t_gap": st.sampled_from("ACGT").map(lambda a: (a, GAP)),
+}
+
+
+@st.composite
+def gapped_pairs(draw):
+    """Aligned rows of a random alignment: 0 to 130 columns (the 59, 60
+    and 61 around the 60-column block edge among them), each side
+    possibly all gaps, runs of every column kind."""
+    length = draw(st.one_of(st.sampled_from([0, 1, 59, 60, 61]), st.integers(0, 130)))
+    kinds = draw(
+        st.sampled_from(
+            [
+                ("match", "mismatch", "s_gap", "t_gap"),
+                ("match", "s_gap"),
+                ("mismatch", "t_gap"),
+                ("s_gap",),
+                ("t_gap",),
+            ]
+        )
+    )
+    columns = []
+    while len(columns) < length:
+        kind = draw(st.sampled_from(kinds))
+        run = draw(st.integers(1, min(8, length - len(columns))))
+        columns += [draw(_COLUMN_PAIRS[kind]) for _ in range(run)]
+    return "".join(a for a, _ in columns), "".join(b for _, b in columns)
 
 
 class TestConstruction:
@@ -147,3 +235,46 @@ class TestPretty:
         aln = make("A" * 70, "A" * 70)
         text = aln.pretty(width=60)
         assert "s       61" in text
+
+
+class TestRenderingOracles:
+    """Counts, midline, CIGAR and pretty text equal the char-loop oracles."""
+
+    @given(gapped_pairs(), st.integers(0, 50), st.integers(0, 50))
+    def test_random_gapped_pairs(self, pair, s_start, t_start):
+        aln = make(*pair, score=7, s_start=s_start, t_start=t_start)
+        assert aln.matches() == oracle_matches(aln)
+        assert aln.mismatches() == sum(
+            1 for a, b in aln.columns() if a != b and GAP not in (a, b)
+        )
+        assert aln.midline() == oracle_midline(aln)
+        assert aln.cigar() == oracle_cigar(aln)
+        assert aln.pretty() == oracle_pretty(aln)
+        assert aln.pretty(width=7) == oracle_pretty(aln, width=7)
+
+    @pytest.mark.parametrize(
+        "s_aligned, t_aligned",
+        [("", ""), ("----", "ACGT"), ("ACGT", "----"), ("A" * 59, "A" * 59),
+         ("AC" * 30, "AG" * 30), ("A-" * 30 + "C", "-A" * 30 + "C")],
+    )
+    def test_edge_shapes(self, s_aligned, t_aligned):
+        aln = make(s_aligned, t_aligned, score=1)
+        assert aln.matches() == oracle_matches(aln)
+        assert aln.midline() == oracle_midline(aln)
+        assert aln.cigar() == oracle_cigar(aln)
+        assert aln.pretty() == oracle_pretty(aln)
+
+    @given(gapped_pairs(), st.data())
+    def test_gap_against_gap_names_the_first_such_column(self, pair, data):
+        s_aligned, t_aligned = pair
+        cols = sorted(
+            data.draw(st.sets(st.integers(0, len(s_aligned)), min_size=1, max_size=3))
+        )
+        for col in reversed(cols):
+            s_aligned = s_aligned[:col] + GAP + s_aligned[col:]
+            t_aligned = t_aligned[:col] + GAP + t_aligned[col:]
+        first = next(
+            k for k, (a, b) in enumerate(zip(s_aligned, t_aligned)) if a == b == GAP
+        )
+        with pytest.raises(ValueError, match=f"^column {first} aligns a gap against a gap$"):
+            make(s_aligned, t_aligned)
